@@ -14,7 +14,6 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .spiral import BehaviorPoint, SpiralParams, arc_lengths_from_origin
 
@@ -177,6 +176,10 @@ def fit_damped_oscillator(H: Sequence[float]) -> OscillatorFit:
     solved linearly) seeds a bounded non-linear refinement; the candidate
     with the smallest residual wins.
     """
+    # Imported here: scipy.optimize takes most of a second to load, and
+    # nothing else in the package needs it.
+    from scipy.optimize import least_squares
+
     y = np.asarray(H, dtype=float)
     if len(y) < MIN_FIT_SAMPLES:
         raise ValueError(

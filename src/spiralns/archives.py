@@ -73,13 +73,47 @@ def _snapshot(ind: "Individual") -> "Individual":
     return replace(ind)
 
 
+class _Coords:
+    """x, y and arc_pos of archive entries as the rows of a growable array.
+
+    Novelty scoring reads these rows every generation; keeping them beside
+    the entries spares it a pass over the entry objects.
+    """
+
+    def __init__(self, entries=()):
+        self._data = np.empty((3, max(64, 2 * len(entries))))
+        self._n = 0
+        for ind in entries:
+            self.append(ind)
+
+    def append(self, ind: "Individual"):
+        if self._n == self._data.shape[1]:
+            grown = np.empty((3, 2 * self._n))
+            grown[:, : self._n] = self._data[:, : self._n]
+            self._data = grown
+        self.put(self._n, ind)
+        self._n += 1
+
+    def put(self, i: int, ind: "Individual"):
+        self._data[:, i] = (ind.behavior.x, ind.behavior.y, ind.arc_pos)
+
+    def delete(self, i: int):
+        self._data[:, i : self._n - 1] = self._data[:, i + 1 : self._n]
+        self._n -= 1
+
+    def view(self) -> np.ndarray:
+        rows = self._data[:, : self._n]
+        rows.flags.writeable = False
+        return rows
+
+
 @dataclass
 class UnstructuredArchive:
     """Flat multiset of individuals with optional size bound and random eviction."""
 
     max_size: Optional[int] = None
     additions_per_generation: int = 6
-    members: list = field(default_factory=list)
+    members: list = field(default_factory=list)  # change only through update
 
     def __post_init__(self):
         if self.max_size is not None and self.max_size < 1:
@@ -88,12 +122,20 @@ class UnstructuredArchive:
             raise ValueError(
                 f"additions_per_generation must be >= 1, got {self.additions_per_generation}"
             )
+        self._coords = _Coords(self.members)
 
     def __len__(self):
         return len(self.members)
 
     def individuals(self) -> list:
         return self.members
+
+    def coords(self) -> np.ndarray:
+        """Read-only (3, len) view of the members' x, y and arc_pos rows.
+
+        Columns follow individuals(); the view is valid until the next update.
+        """
+        return self._coords.view()
 
     def update(self, population: list, rng: np.random.Generator):
         """Copy random population members in, then evict randomly down to the bound."""
@@ -102,11 +144,14 @@ class UnstructuredArchive:
         take = min(self.additions_per_generation, len(population))
         picks = rng.choice(len(population), size=take, replace=False)
         for i in picks:
-            self.members.append(_snapshot(population[int(i)]))
+            entry = _snapshot(population[int(i)])
+            self.members.append(entry)
+            self._coords.append(entry)
         if self.max_size is not None:
             while len(self.members) > self.max_size:
                 victim = int(rng.integers(len(self.members)))
                 self.members.pop(victim)
+                self._coords.delete(victim)
 
 
 @dataclass
@@ -120,7 +165,7 @@ class GridArchive:
     params: SpiralParams
     resolution: int = 50
     epsilon: float = 0.05
-    cells: dict = field(default_factory=dict)
+    cells: dict = field(default_factory=dict)  # change only through insert
 
     def __post_init__(self):
         if self.resolution < 1:
@@ -130,12 +175,23 @@ class GridArchive:
         self.lower = -self.params.extent
         self.upper = self.params.extent
         self.cell_width = (self.upper - self.lower) / self.resolution
+        # Cells are never emptied, so a cell keeps the slot of its first
+        # occupant, which is also its position in the insertion-ordered dict.
+        self._slots = {idx: slot for slot, idx in enumerate(self.cells)}
+        self._coords = _Coords(self.cells.values())
 
     def __len__(self):
         return len(self.cells)
 
     def individuals(self) -> list:
         return list(self.cells.values())
+
+    def coords(self) -> np.ndarray:
+        """Read-only (3, len) view of the occupants' x, y and arc_pos rows.
+
+        Columns follow individuals(); the view is valid until the next insert.
+        """
+        return self._coords.view()
 
     def _axis_index(self, v: float) -> int:
         i = int(math.floor((v - self.lower) / self.cell_width))
@@ -149,10 +205,13 @@ class GridArchive:
         """Insert a copy of the candidate; returns whether its cell was empty."""
         idx = self.cell_index(candidate.behavior)
         if idx not in self.cells:
+            self._slots[idx] = len(self.cells)
             self.cells[idx] = _snapshot(candidate)
+            self._coords.append(candidate)
             return True
         if rng.random() < self.epsilon:
             self.cells[idx] = _snapshot(candidate)
+            self._coords.put(self._slots[idx], candidate)
         return False
 
 

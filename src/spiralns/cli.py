@@ -18,6 +18,7 @@ from .experiments import (
     ConfigError,
     config_from_items,
     effective_config_items,
+    parse_config_items,
     read_lineage,
     read_telemetry,
     run_batch,
@@ -87,17 +88,7 @@ def _collect_items(args) -> dict:
     items = {}
     if args.config:
         with open(args.config) as fh:
-            text = fh.read()
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(
-                    f"{args.config}:{lineno}: expected key = value, got {line!r}"
-                )
-            key, _, value = stripped.partition("=")
-            items[key.strip()] = value.strip()
+            items = parse_config_items(fh.read(), f"{args.config}:")
     for dest, key in _FLAG_KEYS.items():
         value = getattr(args, dest)
         if value is not None:

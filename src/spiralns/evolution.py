@@ -99,8 +99,8 @@ class EvolutionConfig:
             raise ValueError(f"offspring_size must be >= 1, got {self.offspring_size}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.g_max < 1:
             raise ValueError(f"g_max must be >= 1, got {self.g_max}")
         if not 0.0 <= self.init_t0 <= params.t_max:
@@ -173,39 +173,121 @@ def mutate(
     return clamp_genotype(Genotype(g.value + rng.normal(0.0, sigma), g.space), params)
 
 
-def _pairwise_distances(pool: list, candidates: list, metric: Metric) -> np.ndarray:
+# Candidate count above which scoring queries a k-d tree instead of filling a
+# dense pool x candidates matrix.  Measured with a 60-point pool, k = 10 and
+# candidates spread along the spiral, on a 2-CPU x86-64 host: the two tie
+# near 360 candidates; at 460 the tree takes 0.21 ms against 0.51 ms dense
+# (Euclidean), and geodesic scoring, which skips the square root, gains
+# from the tree from about 560 candidates on.
+TREE_CROSSOVER = 400
+
+# Relative gap the tree's (k+2)-th neighbor distance must keep above its
+# (k+1)-th before the tree's choice of neighbors is trusted.  Tree distances
+# differ from the dense formula by a few ulp at most, far inside this gap.
+_TIE_MARGIN = 1e-9
+
+_NO_POINTS = np.empty((3, 0))
+
+
+def _coordinate_rows(individuals: list) -> np.ndarray:
+    """x, y and arc_pos of the individuals as the rows of a (3, n) array."""
+    return np.array(
+        [
+            [ind.behavior.x for ind in individuals],
+            [ind.behavior.y for ind in individuals],
+            [ind.arc_pos for ind in individuals],
+        ]
+    )
+
+
+def _distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
+    """Elementwise distance between broadcastable points a and b.
+
+    Points are columns of the metric's coordinate rows: arc_pos alone for
+    geodesic, x and y for Euclidean.
+    """
     if metric is Metric.GEODESIC:
-        a = np.array([ind.arc_pos for ind in pool])
-        b = np.array([ind.arc_pos for ind in candidates])
-        return np.abs(a[:, None] - b[None, :])
-    ax = np.array([ind.behavior.x for ind in pool])
-    ay = np.array([ind.behavior.y for ind in pool])
-    bx = np.array([ind.behavior.x for ind in candidates])
-    by = np.array([ind.behavior.y for ind in candidates])
-    dx = ax[:, None] - bx[None, :]
-    dy = ay[:, None] - by[None, :]
+        return np.abs(a[0] - b[0])
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _pool_novelty(
-    pool: list, archive_individuals: list, k: int, metric: Metric
-) -> np.ndarray:
-    """Score every pool member against pool + archive, excluding itself."""
-    candidates = pool + archive_individuals
-    n_pool = len(pool)
-    k_eff = min(k, len(candidates) - 1)
-    if k_eff < 1:
-        return np.zeros(n_pool)
-    dist = _pairwise_distances(pool, candidates, metric)
-    dist[np.arange(n_pool), np.arange(n_pool)] = np.inf
-    nearest = np.partition(dist, k_eff - 1, axis=1)[:, :k_eff]
-    nearest.sort(axis=1)
+def _mean_ascending(nearest: np.ndarray) -> np.ndarray:
     # Accumulate in ascending order, one column at a time, so the result is
     # bit-identical to summing a sorted Python list of the same distances.
-    total = np.zeros(n_pool)
-    for j in range(k_eff):
+    total = np.zeros(len(nearest))
+    for j in range(nearest.shape[1]):
         total = total + nearest[:, j]
-    return total / k_eff
+    return total / nearest.shape[1]
+
+
+def _dense_novelty(
+    points: np.ndarray, rows: np.ndarray, k_eff: int, metric: Metric
+) -> np.ndarray:
+    """Score the given columns of points against every column but their own."""
+    dist = _distance(points[:, rows, None], points[:, None, :], metric)
+    dist[np.arange(len(rows)), rows] = np.inf
+    nearest = np.partition(dist, k_eff - 1, axis=1)[:, :k_eff]
+    nearest.sort(axis=1)
+    return _mean_ascending(nearest)
+
+
+def _tree_novelty(
+    points: np.ndarray, n_pool: int, k_eff: int, metric: Metric
+) -> np.ndarray:
+    """Score the first n_pool columns of points through a k-d tree.
+
+    A row is trusted when its subject is among the tree's k_eff+1 nearest
+    and the next neighbor lies clearly farther out: then the k_eff nearest
+    others are the same candidates under the dense formula, whose distances
+    are recomputed here.  Coincident clones and near-ties at the k-th
+    neighbor fall back to the dense routine, so every score is bit-identical
+    to the dense path's.
+    """
+    # scipy.spatial takes a large share of a second to import; only large
+    # pools need it.
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(points.T, balanced_tree=False, compact_nodes=False)
+    dist, idx = tree.query(points[:, :n_pool].T, k=k_eff + 2)
+    head = idx[:, : k_eff + 1]
+    is_self = head == np.arange(n_pool)[:, None]
+    safe = is_self.any(axis=1) & (
+        dist[:, k_eff + 1] > dist[:, k_eff] * (1.0 + _TIE_MARGIN)
+    )
+    scores = np.empty(n_pool)
+    safe_rows = np.flatnonzero(safe)
+    others = head[safe][~is_self[safe]].reshape(-1, k_eff)
+    nearest = _distance(points[:, safe_rows, None], points[:, others], metric)
+    nearest.sort(axis=1)
+    scores[safe_rows] = _mean_ascending(nearest)
+    unsafe = np.flatnonzero(~safe)
+    if unsafe.size:
+        scores[unsafe] = _dense_novelty(points, unsafe, k_eff, metric)
+    return scores
+
+
+def _pool_novelty(
+    pool: np.ndarray, archive: np.ndarray, k: int, metric: Metric
+) -> np.ndarray:
+    """Score every pool member against pool + archive, excluding itself.
+
+    Both arguments hold x, y and arc_pos rows (see _coordinate_rows).  Up to
+    TREE_CROSSOVER candidates the distances fill a dense matrix; above it a
+    k-d tree picks the neighbors.  Both paths give bit-identical scores.
+    """
+    points = np.concatenate((pool, archive), axis=1)
+    points = points[2:] if metric is Metric.GEODESIC else points[:2]
+    n_pool = pool.shape[1]
+    n = points.shape[1]
+    k_eff = min(k, n - 1)
+    if k_eff < 1:
+        return np.zeros(n_pool)
+    # The tree path reads k_eff + 2 neighbors, so it needs that many points.
+    if n <= TREE_CROSSOVER or k_eff + 2 > n:
+        return _dense_novelty(points, np.arange(n_pool), k_eff, metric)
+    return _tree_novelty(points, n_pool, k_eff, metric)
 
 
 def novelty_score(
@@ -273,10 +355,10 @@ def step_generation(
         offspring.append(_make_individual(state, genotype, g_next, parent))
 
     pool = population + offspring
-    archive_individuals = (
-        state.archive.individuals() if state.archive is not None else []
+    archive_points = state.archive.coords() if state.archive is not None else _NO_POINTS
+    scores = _pool_novelty(
+        _coordinate_rows(pool), archive_points, config.k, config.metric
     )
-    scores = _pool_novelty(pool, archive_individuals, config.k, config.metric)
     for ind, score in zip(pool, scores):
         ind.novelty = float(score)
 

@@ -12,6 +12,7 @@ config.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -53,6 +54,7 @@ __all__ = [
     "RunTelemetry",
     "BatchResult",
     "parse_config",
+    "parse_config_items",
     "config_from_items",
     "effective_config_items",
     "evaluation_count",
@@ -166,9 +168,12 @@ def _parse_int(key, text):
 
 def _parse_float(key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _enum_parser(enum_cls):
@@ -382,21 +387,32 @@ def config_from_items(items: dict) -> ExperimentConfig:
     return config
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a flat key = value document (one pair per line, # comments)."""
+def parse_config_items(text: str, source: str = "line ") -> dict:
+    """{key: raw string} from a flat key = value document (# comments).
+
+    Errors name the line as f"{source}{lineno}".  A key given twice is an
+    error, not a silent override.
+    """
     items = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+            raise ConfigError(
+                f"{source}{lineno}: expected key = value, got {line!r}"
+            )
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key in items:
-            raise ConfigError(f"line {lineno}: duplicate key {key}")
+            raise ConfigError(f"{source}{lineno}: duplicate key {key}")
         items[key] = value.strip()
-    return config_from_items(items)
+    return items
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse a flat key = value document (one pair per line, # comments)."""
+    return config_from_items(parse_config_items(text))
 
 
 def _fmt(value) -> str:

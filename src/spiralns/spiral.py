@@ -58,10 +58,10 @@ class SpiralParams:
     alpha: float = 30.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError(f"spiral pitch a must be positive, got {self.a}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (self.a > 0 and math.isfinite(self.a)):
+            raise ValueError(f"spiral pitch a must be positive and finite, got {self.a}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def t_max(self) -> float:

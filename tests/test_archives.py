@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from spiralns import (
+    EvolutionConfig,
     Genotype,
     GenotypeSpace,
     GridArchive,
@@ -16,12 +17,14 @@ from spiralns import (
     UnstructuredArchive,
     cell_index,
     grid_insert,
+    init_population,
     sample_parents,
     spiral_point,
+    step_generation,
     unstructured_update,
     update_discovery_scores,
 )
-from spiralns.evolution import Individual
+from spiralns.evolution import Individual, _coordinate_rows
 from spiralns.spiral import BehaviorPoint, arc_length_from_origin
 
 PARAMS = SpiralParams()
@@ -167,10 +170,77 @@ class TestGridArchive:
         assert cell_index(BehaviorPoint(99.0, -99.0, 0.0), arch) == (0, 49)
 
 
+def assert_coords_in_sync(archive):
+    rows = archive.coords()
+    assert rows.shape == (3, len(archive))
+    assert np.array_equal(rows, _coordinate_rows(archive.individuals()))
+
+
+class CheckedUnstructured(UnstructuredArchive):
+    def update(self, population, rng):
+        super().update(population, rng)
+        assert_coords_in_sync(self)
+        self.updates = getattr(self, "updates", 0) + 1
+
+
+class CheckedGrid(GridArchive):
+    def insert(self, candidate, rng):
+        before = [e.id for e in self.individuals()]
+        was_new = super().insert(candidate, rng)
+        assert_coords_in_sync(self)
+        after = [e.id for e in self.individuals()]
+        if not was_new and after != before:
+            self.replacements = getattr(self, "replacements", 0) + 1
+        return was_new
+
+
+class TestCoordsStayInSync:
+    """coords() equals the rows rebuilt from individuals() after every change."""
+
+    def evolve(self, archive, sampling, generations=300):
+        cfg = EvolutionConfig(seed=21)
+        state = init_population(cfg, PARAMS, archive=archive)
+        for _ in range(generations):
+            step_generation(state, cfg, sampling)
+        return archive
+
+    def test_unbounded(self):
+        arch = self.evolve(
+            CheckedUnstructured(max_size=None), SamplingStrategy(SamplingMode.POPULATION_ONLY)
+        )
+        assert arch.updates == 300 and len(arch) == 1800
+
+    def test_bounded_with_evictions(self):
+        arch = self.evolve(
+            CheckedUnstructured(max_size=50), SamplingStrategy(SamplingMode.MIXED_RANDOM)
+        )
+        assert arch.updates == 300 and len(arch) == 50
+
+    def test_grid_with_replacements(self):
+        arch = self.evolve(
+            CheckedGrid(params=PARAMS, resolution=50, epsilon=0.5),
+            SamplingStrategy(SamplingMode.MIXED_GUIDED),
+        )
+        assert arch.replacements > 100
+        assert list(arch.cells.values()) == arch.individuals()
+
+    def test_initial_entries_are_mirrored(self):
+        arch = UnstructuredArchive(members=[ind(0.5 * t, t) for t in range(100)])
+        assert_coords_in_sync(arch)
+
+    def test_coords_are_read_only(self):
+        arch = UnstructuredArchive(members=[ind(1.0, 0)])
+        with pytest.raises(ValueError):
+            arch.coords()[0, 0] = 5.0
+
+
 def make_pop_and_archive(etas):
     pop = [ind(1.0 + i, i) for i in range(10)]
-    arch = UnstructuredArchive(max_size=None, additions_per_generation=1)
-    arch.members = [ind(20.0 + i, 100 + i, eta=e) for i, e in enumerate(etas)]
+    arch = UnstructuredArchive(
+        max_size=None,
+        additions_per_generation=1,
+        members=[ind(20.0 + i, 100 + i, eta=e) for i, e in enumerate(etas)],
+    )
     return pop, arch
 
 

@@ -1,5 +1,9 @@
 """Command line entry points, exercised through main()."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from spiralns.cli import main
@@ -11,6 +15,22 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_scipy_optimize_and_spatial_unloaded():
+    # Every command pays the package import; scipy's optimizer and k-d tree
+    # are loaded only by the calls that need them.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, spiralns.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestRun:
@@ -85,6 +105,25 @@ class TestBatch:
         )
         assert code == 2
         assert "sigma" in stderr
+
+    def test_non_finite_spiral_a_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "nan"
+        code, _, stderr = run_cli(
+            ["batch", *FAST, "--spiral-a", "nan", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stderr.startswith("error: spiral.a")
+        assert not out.exists()
+
+    def test_duplicate_key_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("scenario = Custom\nevolution.k = 5\nevolution.k = 7\n")
+        code, _, stderr = run_cli(
+            ["batch", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 2
+        assert "duplicate key evolution.k" in stderr
+        assert f"{cfg}:3" in stderr
 
     def test_pinned_override_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -21,7 +21,13 @@ from spiralns import (
     spiral_point,
     step_generation,
 )
-from spiralns.evolution import Individual, _pool_novelty
+from spiralns.evolution import (
+    TREE_CROSSOVER,
+    Individual,
+    _coordinate_rows,
+    _pool_novelty,
+)
+from spiralns.spiral import BehaviorPoint
 
 PARAMS = SpiralParams()
 POP_ONLY = SamplingStrategy(SamplingMode.POPULATION_ONLY)
@@ -80,6 +86,11 @@ class TestInitPopulation:
             init_population(EvolutionConfig(sigma=-0.1), PARAMS)
         with pytest.raises(ValueError):
             init_population(EvolutionConfig(init_t0=1e6), PARAMS)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            EvolutionConfig(sigma=bad).validate(PARAMS)
 
 
 class TestMutate:
@@ -178,7 +189,9 @@ class TestNoveltyScore:
                 make_individual(float(t), 100 + i)
                 for i, t in enumerate(rng.uniform(0, PARAMS.t_max, 15))
             ]
-            scores = _pool_novelty(pool, arch, 10, metric)
+            scores = _pool_novelty(
+                _coordinate_rows(pool), _coordinate_rows(arch), 10, metric
+            )
             for ind, score in zip(pool, scores):
                 assert float(score) == novelty_score(ind, pool, arch, 10, metric)
 
@@ -190,6 +203,81 @@ class TestNoveltyScore:
         a, b = make_individual(1.0, 0), make_individual(2.0, 1)
         want = abs(a.arc_pos - b.arc_pos)
         assert novelty_score(a, [a, b], [], 10, Metric.GEODESIC) == want
+
+
+def at(ident: int, x: float = 0.0, y: float = 0.0, arc: float = 0.0) -> Individual:
+    return Individual(
+        id=ident,
+        genotype=Genotype(0.0, GenotypeSpace.ANGLE),
+        behavior=BehaviorPoint(x, y, 0.0),
+        arc_pos=arc,
+    )
+
+
+def random_points(rng, n, first_id):
+    return [
+        make_individual(float(t), first_id + i)
+        for i, t in enumerate(rng.uniform(0, PARAMS.t_max, n))
+    ]
+
+
+class TestPoolNovelty:
+    """The pool scorer must equal the scalar novelty_score bit for bit."""
+
+    def check(self, pool, arch, k, metric):
+        scores = _pool_novelty(_coordinate_rows(pool), _coordinate_rows(arch), k, metric)
+        want = [novelty_score(ind, pool, arch, k, metric) for ind in pool]
+        assert [float(s) for s in scores] == want
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_random_pools_on_both_sides_of_the_crossover(self, metric):
+        rng = np.random.default_rng(31)
+        for n_arch in (0, 100, TREE_CROSSOVER - 60, TREE_CROSSOVER - 59, 1000):
+            for _ in range(3):
+                k = int(rng.integers(1, 16))
+                self.check(
+                    random_points(rng, 60, 0), random_points(rng, n_arch, 1000), k, metric
+                )
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_thirty_coincident_clones(self, metric):
+        rng = np.random.default_rng(32)
+        clones = [make_individual(28 * math.pi, i) for i in range(30)]
+        pool = clones + random_points(rng, 30, 30)
+        for n_arch in (0, TREE_CROSSOVER):
+            self.check(pool, random_points(rng, n_arch, 1000), 10, metric)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_pools_smaller_than_k_plus_two(self, metric):
+        rng = np.random.default_rng(33)
+        for n_pool in (1, 2, 3, 11):
+            for n_arch in (0, 5, TREE_CROSSOVER):
+                pool = random_points(rng, n_pool, 0)
+                self.check(pool, random_points(rng, n_arch, 1000), 10, metric)
+
+    @pytest.mark.parametrize("k", [9, 10, 11])
+    def test_exact_ties_at_the_kth_neighbor(self, k):
+        # Dyadic offsets placed symmetrically about the subject give exactly
+        # equal distances, so ties straddle the k-th neighbor.
+        rng = np.random.default_rng(34)
+        cx, cy, ca = 0.5, 0.25, 100.0
+        ties = [at(0, cx, cy, ca)]
+        for j in range(1, 5):
+            d = j / 16
+            for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
+                ties.append(at(len(ties), cx + sx * d, cy + sy * d, ca + (sx or sy) * d))
+        pool = ties + random_points(rng, 60 - len(ties), 100)
+        arch = [at(1000 + i, 5.0 + i, 5.0, 5000.0 + i) for i in range(TREE_CROSSOVER)]
+        for metric in Metric:
+            self.check(pool, arch, k, metric)
+
+    def test_near_ties_one_ulp_apart(self):
+        # Seen from the subject at 0, the last two lie 10 and 10 + 1 ulp away.
+        pool = [at(j, arc=float(j)) for j in range(10)]
+        pool += [at(10, arc=-10.0), at(11, arc=float(np.nextafter(10.0, 11.0)))]
+        arch = [at(1000 + i, arc=5000.0 + i) for i in range(TREE_CROSSOVER)]
+        for k in (9, 10, 11):
+            self.check(pool, arch, k, Metric.GEODESIC)
 
 
 class TestStepGeneration:
@@ -278,9 +366,11 @@ class TestStepGeneration:
         # a far-away archived point lifts the novelty of everything
         cfg = EvolutionConfig(pop_size=3, offspring_size=3, k=10, seed=11)
         state = init_population(cfg, PARAMS)
-        archive = UnstructuredArchive(max_size=None, additions_per_generation=1)
-        archive.members.append(make_individual(0.0, 999))
-        state.archive = archive
+        state.archive = UnstructuredArchive(
+            max_size=None,
+            additions_per_generation=1,
+            members=[make_individual(0.0, 999)],
+        )
         step_generation(state, cfg, POP_ONLY)
         with_archive = max(i.novelty for i in state.population)
 

@@ -85,6 +85,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sigma"):
             parse_config("scenario = Custom\nevolution.sigma = -1\n")
 
+    @pytest.mark.parametrize("key", ["spiral.a", "spiral.alpha", "evolution.sigma"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_float_names_the_key(self, key, text):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {text}\n")
+
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="evolution.sugma"):
             parse_config("evolution.sugma = 3\n")

@@ -191,6 +191,13 @@ class TestParams:
         with pytest.raises(ValueError):
             SpiralParams(alpha=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SpiralParams(a=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SpiralParams(alpha=bad)
+
     def test_behavior_point_is_frozen(self):
         p = BehaviorPoint(0.0, 0.0, 0.0)
         with pytest.raises(AttributeError):
