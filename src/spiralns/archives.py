@@ -11,33 +11,87 @@ Parent sampling either draws from the population alone, mixes in uniform
 draws from the archive, or mixes in draws weighted by each entry's discovery
 score eta (the exponentially mixed share of a parent's offspring that landed
 in empty grid cells).
+
+Individuals travel through the search loop as columns of one float array
+whose rows are named below; `Individual` records are built from columns
+only where the state is read from outside the loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from .spiral import BehaviorPoint, SpiralParams
-
-if TYPE_CHECKING:
-    from .evolution import Individual
+from .spiral import BehaviorPoint, Genotype, GenotypeSpace, SpiralParams
 
 __all__ = [
+    "Individual",
     "UnstructuredArchive",
     "GridArchive",
     "SamplingMode",
     "SamplingStrategy",
-    "unstructured_update",
-    "grid_insert",
-    "cell_index",
+    "to_columns",
+    "to_records",
     "sample_parents",
     "update_discovery_scores",
 ]
+
+# Rows of an individuals array, one individual per column.  x, y and arc_pos
+# come first: they are the coordinate rows novelty scoring reads.  A root has
+# parent_id -1 and birth_delta NaN; space is the index into GenotypeSpace.
+(X, Y, ARC, T, VALUE, SPACE, NOVELTY, ETA, ID, PARENT_ID, BIRTH_GEN,
+ BIRTH_DELTA) = range(12)
+N_ROWS = 12
+_SPACES = tuple(GenotypeSpace)
+
+
+@dataclass
+class Individual:
+    """One evaluated genotype, as read from the state of a run."""
+
+    id: int
+    genotype: Genotype
+    behavior: BehaviorPoint
+    arc_pos: float  # S(0, behavior.t), cached for geodesic scoring and deltas
+    novelty: float = 0.0
+    eta: float = 0.0
+    parent_id: Optional[int] = None
+    birth_generation: int = 0
+    birth_delta: Optional[float] = None  # arc_pos - parent's arc_pos, None for roots
+
+
+def to_columns(individuals) -> np.ndarray:
+    """The records as the columns of an (N_ROWS, n) array."""
+    cols = np.empty((N_ROWS, len(individuals)))
+    for j, ind in enumerate(individuals):
+        b = ind.behavior
+        cols[:, j] = (
+            b.x, b.y, ind.arc_pos, b.t, ind.genotype.value,
+            _SPACES.index(ind.genotype.space), ind.novelty, ind.eta, ind.id,
+            -1 if ind.parent_id is None else ind.parent_id, ind.birth_generation,
+            math.nan if ind.birth_delta is None else ind.birth_delta,
+        )
+    return cols
+
+
+def to_records(cols: np.ndarray) -> list:
+    """Fresh Individual records for the columns of an (N_ROWS, n) array."""
+    return [
+        Individual(
+            int(ident), Genotype(value, _SPACES[int(space)]), BehaviorPoint(x, y, t),
+            arc, novelty, eta, None if parent < 0 else int(parent), int(gen),
+            None if math.isnan(delta) else delta,
+        )
+        for x, y, arc, t, value, space, novelty, eta, ident, parent, gen, delta
+        in zip(*cols.tolist())
+    ]
+
+
+_NO_ENTRIES = np.empty((N_ROWS, 0))
 
 
 class SamplingMode(Enum):
@@ -67,35 +121,34 @@ class SamplingStrategy:
             raise ValueError(f"tau must be in [0,1], got {self.tau}")
 
 
-def _snapshot(ind: "Individual") -> "Individual":
-    # Archive entries are copies: later changes to the live individual must
-    # not leak into the archive.
-    return replace(ind)
+class _Rows:
+    """An archive's entries as the columns of a growable (N_ROWS, n) array.
 
-
-class _Coords:
-    """x, y and arc_pos of archive entries as the rows of a growable array.
-
-    Novelty scoring reads these rows every generation; keeping them beside
-    the entries spares it a pass over the entry objects.
+    Entries are copies: later changes to the columns they came from do not
+    reach the archive.
     """
 
-    def __init__(self, entries=()):
-        self._data = np.empty((3, max(64, 2 * len(entries))))
-        self._n = 0
-        for ind in entries:
-            self.append(ind)
+    def __init__(self, cols: np.ndarray):
+        n = cols.shape[1]
+        self._data = np.empty((N_ROWS, max(64, 2 * n)))
+        self._data[:, :n] = cols
+        self._n = n
 
-    def append(self, ind: "Individual"):
-        if self._n == self._data.shape[1]:
-            grown = np.empty((3, 2 * self._n))
+    def __len__(self):
+        return self._n
+
+    def append(self, cols: np.ndarray):
+        """Append one column (shape (N_ROWS,)) or several (N_ROWS, k)."""
+        k = 1 if cols.ndim == 1 else cols.shape[1]
+        if self._n + k > self._data.shape[1]:
+            grown = np.empty((N_ROWS, max(2 * self._data.shape[1], self._n + k)))
             grown[:, : self._n] = self._data[:, : self._n]
             self._data = grown
-        self.put(self._n, ind)
-        self._n += 1
+        self._data[:, self._n : self._n + k] = cols.reshape(N_ROWS, k)
+        self._n += k
 
-    def put(self, i: int, ind: "Individual"):
-        self._data[:, i] = (ind.behavior.x, ind.behavior.y, ind.arc_pos)
+    def put(self, i, col, row=slice(None)):
+        self._data[row, i] = col
 
     def delete(self, i: int):
         self._data[:, i : self._n - 1] = self._data[:, i + 1 : self._n]
@@ -107,194 +160,168 @@ class _Coords:
         return rows
 
 
-@dataclass
-class UnstructuredArchive:
-    """Flat multiset of individuals with optional size bound and random eviction."""
-
-    max_size: Optional[int] = None
-    additions_per_generation: int = 6
-    members: list = field(default_factory=list)  # change only through update
-
-    def __post_init__(self):
-        if self.max_size is not None and self.max_size < 1:
-            raise ValueError(f"max_size must be >= 1, got {self.max_size}")
-        if self.additions_per_generation < 1:
-            raise ValueError(
-                f"additions_per_generation must be >= 1, got {self.additions_per_generation}"
-            )
-        self._coords = _Coords(self.members)
+class _Archive:
+    """Read access shared by both archive kinds (each defines its own
+    individuals(), so that a tracer can wrap the method per class)."""
 
     def __len__(self):
-        return len(self.members)
-
-    def individuals(self) -> list:
-        return self.members
+        return len(self._rows)
 
     def coords(self) -> np.ndarray:
-        """Read-only (3, len) view of the members' x, y and arc_pos rows.
+        """Read-only (3, len) view of the entries' x, y and arc_pos rows.
 
-        Columns follow individuals(); the view is valid until the next update.
+        Columns follow individuals(); the view is valid until the next change.
         """
-        return self._coords.view()
+        return self._rows.view()[: ARC + 1]
 
-    def update(self, population: list, rng: np.random.Generator):
-        """Copy random population members in, then evict randomly down to the bound."""
-        if not population:
+
+class UnstructuredArchive(_Archive):
+    """Flat multiset of individuals with optional size bound and random eviction."""
+
+    def __init__(self, max_size: Optional[int] = None, additions_per_generation=6, members=()):
+        if max_size is not None and max_size < 1:
+            raise ValueError(f"max_size must be >= 1, got {max_size}")
+        if additions_per_generation < 1:
+            raise ValueError(
+                f"additions_per_generation must be >= 1, got {additions_per_generation}"
+            )
+        self.max_size = max_size
+        self.additions_per_generation = additions_per_generation
+        self._rows = _Rows(to_columns(list(members)))
+
+    def individuals(self) -> list:
+        """Fresh records of the members, in storage order."""
+        return to_records(self._rows.view())
+
+    def update(self, population: np.ndarray, rng: np.random.Generator):
+        """Copy random population columns in, then evict randomly down to the bound."""
+        size = population.shape[1]
+        if not size:
             raise ValueError("cannot update archive from an empty population")
-        take = min(self.additions_per_generation, len(population))
-        picks = rng.choice(len(population), size=take, replace=False)
-        for i in picks:
-            entry = _snapshot(population[int(i)])
-            self.members.append(entry)
-            self._coords.append(entry)
+        take = min(self.additions_per_generation, size)
+        self._rows.append(population[:, rng.choice(size, size=take, replace=False)])
         if self.max_size is not None:
-            while len(self.members) > self.max_size:
-                victim = int(rng.integers(len(self.members)))
-                self.members.pop(victim)
-                self._coords.delete(victim)
+            while len(self._rows) > self.max_size:
+                self._rows.delete(int(rng.integers(len(self._rows))))
 
 
-@dataclass
-class GridArchive:
+class GridArchive(_Archive):
     """Uniform grid over the behavior bounding box, one occupant per cell.
 
     Cells are half-open; points on the upper edges fall into the last cell,
     and out-of-range points are clamped to the border cells.
     """
 
-    params: SpiralParams
-    resolution: int = 50
-    epsilon: float = 0.05
-    cells: dict = field(default_factory=dict)  # change only through insert
-
-    def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in [0,1), got {self.epsilon}")
-        self.lower = -self.params.extent
-        self.upper = self.params.extent
-        self.cell_width = (self.upper - self.lower) / self.resolution
-        # Cells are never emptied, so a cell keeps the slot of its first
-        # occupant, which is also its position in the insertion-ordered dict.
-        self._slots = {idx: slot for slot, idx in enumerate(self.cells)}
-        self._coords = _Coords(self.cells.values())
-
-    def __len__(self):
-        return len(self.cells)
+    def __init__(self, params: SpiralParams, resolution: int = 50, epsilon: float = 0.05):
+        if resolution < 1:
+            raise ValueError(f"resolution must be >= 1, got {resolution}")
+        if not 0.0 <= epsilon < 1.0:
+            raise ValueError(f"epsilon must be in [0,1), got {epsilon}")
+        self.params = params
+        self.resolution = resolution
+        self.epsilon = epsilon
+        self.lower = -params.extent
+        self.upper = params.extent
+        self.cell_width = (self.upper - self.lower) / resolution
+        # Cells are never emptied: each keeps its first occupant's column.
+        self._slots = {}
+        self._rows = _Rows(_NO_ENTRIES)
 
     def individuals(self) -> list:
-        return list(self.cells.values())
-
-    def coords(self) -> np.ndarray:
-        """Read-only (3, len) view of the occupants' x, y and arc_pos rows.
-
-        Columns follow individuals(); the view is valid until the next insert.
-        """
-        return self._coords.view()
+        """Fresh records of the occupants, in order of their cells' first fill."""
+        return to_records(self._rows.view())
 
     def _axis_index(self, v: float) -> int:
         i = int(math.floor((v - self.lower) / self.cell_width))
         return min(max(i, 0), self.resolution - 1)
 
-    def cell_index(self, behavior: BehaviorPoint) -> tuple[int, int]:
+    def cell_index(self, x: float, y: float) -> tuple[int, int]:
         """(row, col) of the cell containing the point; row indexes y, col x."""
-        return self._axis_index(behavior.y), self._axis_index(behavior.x)
+        return self._axis_index(y), self._axis_index(x)
 
-    def insert(self, candidate: "Individual", rng: np.random.Generator) -> bool:
-        """Insert a copy of the candidate; returns whether its cell was empty."""
-        idx = self.cell_index(candidate.behavior)
-        if idx not in self.cells:
-            self._slots[idx] = len(self.cells)
-            self.cells[idx] = _snapshot(candidate)
-            self._coords.append(candidate)
+    def insert(self, candidate: np.ndarray, rng: np.random.Generator) -> bool:
+        """Insert a copy of the candidate column; returns whether its cell was empty."""
+        idx = self.cell_index(*candidate[X : Y + 1].tolist())
+        slot = self._slots.get(idx)
+        if slot is None:
+            self._slots[idx] = len(self._rows)
+            self._rows.append(candidate)
             return True
         if rng.random() < self.epsilon:
-            self.cells[idx] = _snapshot(candidate)
-            self._coords.put(self._slots[idx], candidate)
+            self._rows.put(slot, candidate)
         return False
 
+    def set_etas(self, slots: np.ndarray, ids: np.ndarray, etas: np.ndarray):
+        """Write discovery scores to the given columns that still hold the given ids.
 
-def unstructured_update(
-    archive: UnstructuredArchive, population: list, rng: np.random.Generator
-) -> UnstructuredArchive:
-    archive.update(population, rng)
-    return archive
-
-
-def grid_insert(
-    archive: GridArchive, candidate: "Individual", rng: np.random.Generator
-) -> tuple[GridArchive, bool]:
-    was_new_cell = archive.insert(candidate, rng)
-    return archive, was_new_cell
-
-
-def cell_index(behavior: BehaviorPoint, archive: GridArchive) -> tuple[int, int]:
-    return archive.cell_index(behavior)
+        A column whose occupant was retaken since its id was read keeps the
+        new occupant's score.
+        """
+        held = self._rows.view()[ID, slots] == ids
+        self._rows.put(slots[held], etas[held], ETA)
 
 
 def sample_parents(
     strategy: SamplingStrategy,
-    population: list,
+    population: np.ndarray,
     archive,
     n: int,
     rng: np.random.Generator,
-) -> list:
+) -> tuple:
     """Pick the N parents of a generation.
 
     Mixed modes reserve floor(archive_fraction * n) slots for archive draws
     (uniform, or eta-proportional when guided) and fill the rest from the
     population; an empty or missing archive sends every draw back to the
-    population.  All draws are with replacement.
+    population.  All draws are with replacement.  Returns the parents'
+    columns, archive draws first, and the archive columns drawn.
     """
-    if not population:
+    if not population.shape[1]:
         raise ValueError("cannot sample parents from an empty population")
-    entries = archive.individuals() if archive is not None else []
+    entries = archive._rows.view() if archive is not None else _NO_ENTRIES
+    n_entries = entries.shape[1]
     n_archive = 0
-    if strategy.mode is not SamplingMode.POPULATION_ONLY and entries:
+    if strategy.mode is not SamplingMode.POPULATION_ONLY and n_entries:
         n_archive = int(strategy.archive_fraction * n)
 
-    parents = []
+    picks = np.empty(0, dtype=np.int64)
     if n_archive:
-        if strategy.mode is SamplingMode.MIXED_GUIDED:
-            etas = np.array([e.eta for e in entries], dtype=float)
-            total = etas.sum()
-            if total > 0.0:
-                picks = rng.choice(len(entries), size=n_archive, p=etas / total)
-            else:
-                picks = rng.integers(len(entries), size=n_archive)
+        etas = entries[ETA]
+        total = etas.sum() if strategy.mode is SamplingMode.MIXED_GUIDED else 0.0
+        if total > 0.0:
+            picks = rng.choice(n_entries, size=n_archive, p=etas / total)
         else:
-            picks = rng.integers(len(entries), size=n_archive)
-        parents.extend(entries[int(i)] for i in picks)
-
-    picks = rng.integers(len(population), size=n - n_archive)
-    parents.extend(population[int(i)] for i in picks)
-    return parents
+            picks = rng.integers(n_entries, size=n_archive)
+    parents = population[:, rng.integers(population.shape[1], size=n - n_archive)]
+    if n_archive:
+        parents = np.concatenate((entries[:, picks], parents), axis=1)
+    return parents, picks
 
 
 def update_discovery_scores(
-    population: list, offspring_with_kappa: list, tau: float
-) -> list:
+    ids: np.ndarray,
+    etas: np.ndarray,
+    parent_ids: np.ndarray,
+    kappas: np.ndarray,
+    tau: float,
+) -> np.ndarray:
     """Mix each parent's share of this generation's cell discoveries into eta.
 
     eta <- tau * eta + (1 - tau) * (own discoveries / total discoveries),
-    applied to every individual in `population` (ids must be unique).  With
-    zero discoveries in the generation the fresh term is zero and every eta
-    simply decays.  Offspring whose parent is not in `population` indicate a
-    bookkeeping bug and raise.
+    for every id in `ids` (which must be unique), given each offspring's
+    parent id and whether it found an empty cell (kappa).  With zero
+    discoveries in the generation the fresh term is zero and every eta
+    simply decays.  Returns the new etas.  An offspring whose parent is not
+    among `ids` indicates a bookkeeping bug and raises.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0,1], got {tau}")
-    ids = {ind.id for ind in population}
-    counts: dict = {}
-    total = 0
-    for child, kappa in offspring_with_kappa:
-        if child.parent_id is None or child.parent_id not in ids:
-            raise ValueError(f"offspring {child.id} has no parent in the given population")
-        k = int(kappa)
-        total += k
-        counts[child.parent_id] = counts.get(child.parent_id, 0) + k
-    for ind in population:
-        share = counts.get(ind.id, 0) / total if total > 0 else 0.0
-        ind.eta = tau * ind.eta + (1.0 - tau) * share
-    return population
+    position = {ident: j for j, ident in enumerate(np.asarray(ids).tolist())}
+    counts = [0] * len(position)
+    for parent, kappa in zip(np.asarray(parent_ids).tolist(), kappas):
+        if parent not in position:
+            raise ValueError(f"an offspring's parent {parent} is not in the given population")
+        counts[position[parent]] += int(kappa)
+    total = sum(counts)
+    share = np.array(counts) / total if total > 0 else np.zeros(len(counts))
+    return tau * np.asarray(etas, dtype=float) + (1.0 - tau) * share

@@ -26,62 +26,46 @@ from .experiments import (
 from .spiral import SpiralParams
 from .svgplot import emit_svg
 
-# flag destination -> config key
-_FLAG_KEYS = {
-    "scenario": "scenario",
-    "runs": "runs",
-    "seed": "base_seed",
-    "out": "output_dir",
-    "spiral_a": "spiral.a",
-    "alpha": "spiral.alpha",
-    "pop_size": "evolution.pop_size",
-    "offspring_size": "evolution.offspring_size",
-    "k": "evolution.k",
-    "sigma": "evolution.sigma",
-    "g_max": "evolution.g_max",
-    "metric": "evolution.metric",
-    "genotype_space": "evolution.genotype_space",
-    "init_t0": "evolution.init_t0",
-    "archive_kind": "archive.kind",
-    "archive_max_size": "archive.max_size",
-    "archive_additions": "archive.additions_per_generation",
-    "grid_resolution": "archive.resolution",
-    "grid_epsilon": "archive.epsilon",
-    "sampling_mode": "sampling.mode",
-    "archive_fraction": "sampling.archive_fraction",
-    "tau": "sampling.tau",
-}
+# Config key, command line flag and help text of each config flag.
+_CONFIG_FLAGS = [
+    ("scenario", "--scenario", "named scenario or Custom"),
+    ("runs", "--runs", "number of seeded runs in the batch"),
+    ("base_seed", "--seed", "base seed; run i uses seed + i"),
+    ("output_dir", "--out", "output directory"),
+    ("spiral.a", "--spiral-a", "spiral scale coefficient"),
+    ("spiral.alpha", "--alpha", "spiral turns parameter"),
+    ("evolution.pop_size", "--pop-size", "population size"),
+    ("evolution.offspring_size", "--offspring-size", "offspring per generation"),
+    ("evolution.k", "--k", "nearest neighbors for novelty"),
+    ("evolution.sigma", "--sigma", "mutation standard deviation"),
+    ("evolution.g_max", "--g-max", "generations per run"),
+    ("evolution.metric", "--metric", "euclidean or geodesic"),
+    ("evolution.genotype_space", "--genotype-space", "angle or arc_length"),
+    ("evolution.init_t0", "--init-t0", "initial curve parameter"),
+    (
+        "archive.kind",
+        "--archive-kind",
+        "none, unstructured_unbounded, unstructured_bounded or grid",
+    ),
+    ("archive.max_size", "--archive-max-size", "bound for a bounded archive"),
+    (
+        "archive.additions_per_generation",
+        "--archive-additions",
+        "archive additions per generation",
+    ),
+    ("archive.resolution", "--grid-resolution", "grid cells per axis"),
+    ("archive.epsilon", "--grid-epsilon", "grid replacement probability"),
+    ("sampling.mode", "--sampling-mode", "population_only, mixed_random or mixed_guided"),
+    ("sampling.archive_fraction", "--archive-fraction", "parent slots drawn from archive"),
+    ("sampling.tau", "--tau", "discovery score update rate"),
+]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="FILE", help="key = value config file")
-    parser.add_argument("--scenario", help="named scenario or Custom")
-    parser.add_argument("--runs", help="number of seeded runs in the batch")
-    parser.add_argument("--seed", help="base seed; run i uses seed + i")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--spiral-a", help="spiral scale coefficient")
-    parser.add_argument("--alpha", help="spiral turns parameter")
-    parser.add_argument("--pop-size", help="population size")
-    parser.add_argument("--offspring-size", help="offspring per generation")
-    parser.add_argument("--k", help="nearest neighbors for novelty")
-    parser.add_argument("--sigma", help="mutation standard deviation")
-    parser.add_argument("--g-max", help="generations per run")
-    parser.add_argument("--metric", help="euclidean or geodesic")
-    parser.add_argument("--genotype-space", help="angle or arc_length")
-    parser.add_argument("--init-t0", help="initial curve parameter")
-    parser.add_argument(
-        "--archive-kind",
-        help="none, unstructured_unbounded, unstructured_bounded or grid",
-    )
-    parser.add_argument("--archive-max-size", help="bound for a bounded archive")
-    parser.add_argument("--archive-additions", help="archive additions per generation")
-    parser.add_argument("--grid-resolution", help="grid cells per axis")
-    parser.add_argument("--grid-epsilon", help="grid replacement probability")
-    parser.add_argument(
-        "--sampling-mode", help="population_only, mixed_random or mixed_guided"
-    )
-    parser.add_argument("--archive-fraction", help="parent slots drawn from archive")
-    parser.add_argument("--tau", help="discovery score update rate")
+    for key, flag, text in _CONFIG_FLAGS:
+        metavar = flag[2:].replace("-", "_").upper()
+        parser.add_argument(flag, dest=key, metavar=metavar, help=text)
 
 
 def _collect_items(args) -> dict:
@@ -89,8 +73,8 @@ def _collect_items(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             items = parse_config_items(fh.read(), f"{args.config}:")
-    for dest, key in _FLAG_KEYS.items():
-        value = getattr(args, dest)
+    for key, _, _ in _CONFIG_FLAGS:
+        value = getattr(args, key)
         if value is not None:
             items[key] = value
     return items
@@ -197,6 +181,9 @@ def _cmd_plot(args) -> int:
     first_header = None
     for path in paths:
         header, entries = read_lineage(path)
+        for key in ("evolution.pop_size", "evolution.init_t0", "spiral.a", "spiral.alpha"):
+            if key not in header:
+                raise ConfigError(f"{path}: missing header key {key}")
         if first_header is None:
             first_header = header
         pop_size = int(header["evolution.pop_size"])

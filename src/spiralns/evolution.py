@@ -5,6 +5,10 @@ per parent, scores the parents and offspring by mean distance to their k
 nearest neighbors among population, offspring and archive, and keeps the M
 most novel.  Lineage is tracked so that downstream analysis can express each
 selected mutation as a signed change in arc length along the spiral.
+
+The population and the offspring are arrays with one column per individual
+(rows as in `archives`); a generation is a fixed number of array operations
+whatever its size.
 """
 
 from __future__ import annotations
@@ -12,28 +16,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
+from .archives import ARC, BIRTH_DELTA, BIRTH_GEN, ETA, ID, N_ROWS, NOVELTY, PARENT_ID
+from .archives import SPACE, T, VALUE, X, Y
 from .archives import (
     GridArchive,
+    Individual,
     SamplingMode,
     SamplingStrategy,
     UnstructuredArchive,
     sample_parents,
+    to_records,
     update_discovery_scores,
 )
-from .spiral import (
-    BehaviorPoint,
-    Genotype,
-    GenotypeSpace,
-    SpiralParams,
-    arc_length_from_origin,
-    clamp_genotype,
-    genotype_at_curve_parameter,
-    map_genotype,
-)
+from .spiral import GenotypeSpace, SpiralParams, genotype_at_curve_parameter, genotype_bounds
+
+# The vectorised map, under the name the generation loop looks up on each
+# call, so a tracer can wrap it here (see bench/layers.py).
+from .spiral import map_genotypes as map_genotype
 
 __all__ = [
     "Metric",
@@ -43,7 +46,6 @@ __all__ = [
     "LineageEntry",
     "init_population",
     "mutate",
-    "novelty_score",
     "step_generation",
 ]
 
@@ -57,19 +59,6 @@ DEFAULT_INIT_T0 = 28.0 * math.pi
 class Metric(Enum):
     EUCLIDEAN = "euclidean"
     GEODESIC = "geodesic"
-
-
-@dataclass
-class Individual:
-    id: int
-    genotype: Genotype
-    behavior: BehaviorPoint
-    arc_pos: float  # S(0, behavior.t), cached for geodesic scoring and deltas
-    novelty: float = 0.0
-    eta: float = 0.0
-    parent_id: Optional[int] = None
-    birth_generation: int = 0
-    birth_delta: Optional[float] = None  # arc_pos - parent's arc_pos, None for roots
 
 
 class LineageEntry(NamedTuple):
@@ -113,64 +102,59 @@ class EvolutionConfig:
 class EvolutionState:
     params: SpiralParams
     generation: int
-    population: list
+    columns: np.ndarray  # the population, one individual per column
     archive: object  # None, UnstructuredArchive or GridArchive
     rng: np.random.Generator
     lineage_log: list = field(default_factory=list)
     next_id: int = 0
 
-    def new_id(self) -> int:
-        i = self.next_id
-        self.next_id += 1
-        return i
+    @property
+    def population(self) -> list:
+        """Fresh records of the population, in selection order."""
+        return to_records(self.columns)
 
 
-def _make_individual(
-    state: EvolutionState,
-    genotype: Genotype,
-    generation: int,
-    parent: Optional[Individual] = None,
-) -> Individual:
-    behavior = map_genotype(genotype, state.params)
-    arc = arc_length_from_origin(behavior.t, state.params)
-    return Individual(
-        id=state.new_id(),
-        genotype=genotype,
-        behavior=behavior,
-        arc_pos=arc,
-        eta=parent.eta if parent is not None else 0.0,
-        parent_id=parent.id if parent is not None else None,
-        birth_generation=generation,
-        birth_delta=arc - parent.arc_pos if parent is not None else None,
-    )
+def _evaluate(values, space, params, first_id, generation, parents=None) -> np.ndarray:
+    """Columns of new individuals with the given genotype values.
+
+    Without parents the individuals are roots: eta 0, no parent, no delta.
+    """
+    cols = np.empty((N_ROWS, len(values)))
+    cols[T], cols[X], cols[Y], cols[ARC] = map_genotype(values, space, params)
+    cols[VALUE] = values
+    cols[SPACE] = list(GenotypeSpace).index(space)
+    cols[NOVELTY] = 0.0
+    cols[ID] = np.arange(first_id, first_id + len(values))
+    cols[BIRTH_GEN] = generation
+    if parents is None:
+        cols[ETA], cols[PARENT_ID], cols[BIRTH_DELTA] = 0.0, -1, math.nan
+    else:
+        cols[ETA], cols[PARENT_ID] = parents[ETA], parents[ID]
+        cols[BIRTH_DELTA] = cols[ARC] - parents[ARC]
+    return cols
 
 
 def init_population(
     config: EvolutionConfig, params: SpiralParams, archive=None
 ) -> EvolutionState:
-    """Generation 0: M clones at the starting point, empty archive."""
+    """Generation 0: M clones at the starting point, archive as given."""
     config.validate(params)
-    state = EvolutionState(
-        params=params,
-        generation=0,
-        population=[],
-        archive=archive,
-        rng=np.random.default_rng(config.seed),
-    )
-    genotype = genotype_at_curve_parameter(config.init_t0, config.genotype_space, params)
-    state.population = [
-        _make_individual(state, genotype, generation=0) for _ in range(config.pop_size)
-    ]
-    return state
+    space = config.genotype_space
+    start = genotype_at_curve_parameter(config.init_t0, space, params)
+    roots = _evaluate(np.full(config.pop_size, start.value), space, params, 0, 0)
+    rng = np.random.default_rng(config.seed)
+    return EvolutionState(params, 0, roots, archive, rng, next_id=config.pop_size)
 
 
-def mutate(
-    g: Genotype, sigma: float, rng: np.random.Generator, params: SpiralParams
-) -> Genotype:
-    """Add Gaussian noise with standard deviation sigma, clamped into bounds."""
+def mutate(values: np.ndarray, space: GenotypeSpace, sigma: float, rng, params) -> np.ndarray:
+    """Add Gaussian noise with standard deviation sigma, clamped into bounds.
+
+    One draw of len(values) normals, equal to that many scalar draws.
+    """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return clamp_genotype(Genotype(g.value + rng.normal(0.0, sigma), g.space), params)
+    lo, hi = genotype_bounds(space, params)
+    return np.clip(values + rng.normal(0.0, sigma, size=len(values)), lo, hi)
 
 
 # Candidate count above which scoring queries a k-d tree instead of filling a
@@ -189,17 +173,6 @@ _TIE_MARGIN = 1e-9
 _NO_POINTS = np.empty((3, 0))
 
 
-def _coordinate_rows(individuals: list) -> np.ndarray:
-    """x, y and arc_pos of the individuals as the rows of a (3, n) array."""
-    return np.array(
-        [
-            [ind.behavior.x for ind in individuals],
-            [ind.behavior.y for ind in individuals],
-            [ind.arc_pos for ind in individuals],
-        ]
-    )
-
-
 def _distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
     """Elementwise distance between broadcastable points a and b.
 
@@ -214,12 +187,10 @@ def _distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
 
 
 def _mean_ascending(nearest: np.ndarray) -> np.ndarray:
-    # Accumulate in ascending order, one column at a time, so the result is
-    # bit-identical to summing a sorted Python list of the same distances.
-    total = np.zeros(len(nearest))
-    for j in range(nearest.shape[1]):
-        total = total + nearest[:, j]
-    return total / nearest.shape[1]
+    # A running sum along each row adds the columns one at a time, in
+    # ascending order, so the result is bit-identical to summing a sorted
+    # Python list of the same distances.
+    return nearest.cumsum(axis=1)[:, -1] / nearest.shape[1]
 
 
 def _dense_novelty(
@@ -273,9 +244,9 @@ def _pool_novelty(
 ) -> np.ndarray:
     """Score every pool member against pool + archive, excluding itself.
 
-    Both arguments hold x, y and arc_pos rows (see _coordinate_rows).  Up to
-    TREE_CROSSOVER candidates the distances fill a dense matrix; above it a
-    k-d tree picks the neighbors.  Both paths give bit-identical scores.
+    Both arguments hold x, y and arc_pos rows.  Up to TREE_CROSSOVER
+    candidates the distances fill a dense matrix; above it a k-d tree picks
+    the neighbors.  Both paths give bit-identical scores.
     """
     points = np.concatenate((pool, archive), axis=1)
     points = points[2:] if metric is Metric.GEODESIC else points[:2]
@@ -290,42 +261,6 @@ def _pool_novelty(
     return _tree_novelty(points, n_pool, k_eff, metric)
 
 
-def novelty_score(
-    subject: Individual,
-    population: list,
-    archive_members: list,
-    k: int,
-    metric: Metric,
-) -> float:
-    """Mean distance from the subject to its k nearest neighbors.
-
-    Neighbors come from population and archive; the subject instance itself
-    is excluded, coincident other individuals are not.  With fewer than k
-    candidates the mean runs over whatever is available; with none the score
-    is zero.
-    """
-    if metric is Metric.GEODESIC:
-        dists = [
-            abs(subject.arc_pos - other.arc_pos)
-            for other in population + archive_members
-            if other is not subject
-        ]
-    else:
-        sx, sy = subject.behavior.x, subject.behavior.y
-        dists = []
-        for other in population + archive_members:
-            if other is subject:
-                continue
-            dx = sx - other.behavior.x
-            dy = sy - other.behavior.y
-            dists.append(math.sqrt(dx * dx + dy * dy))
-    if not dists:
-        return 0.0
-    dists.sort()
-    k_eff = min(k, len(dists))
-    return sum(dists[:k_eff]) / k_eff
-
-
 def step_generation(
     state: EvolutionState, config: EvolutionConfig, sampling: SamplingStrategy
 ) -> EvolutionState:
@@ -336,61 +271,60 @@ def step_generation(
     archive, extend the lineage log, and (guided mode only) refresh the
     discovery scores of this generation's parent pool.
     """
-    if sampling.mode is SamplingMode.MIXED_GUIDED and not isinstance(
-        state.archive, GridArchive
-    ):
+    archive = state.archive
+    guided = sampling.mode is SamplingMode.MIXED_GUIDED
+    if guided and not isinstance(archive, GridArchive):
         raise ValueError("guided sampling requires a grid archive")
 
-    params = state.params
-    rng = state.rng
+    params, rng, space = state.params, state.rng, config.genotype_space
     g_next = state.generation + 1
-    population = state.population
+    population = state.columns
+    m = population.shape[1]
 
-    parents = sample_parents(
-        sampling, population, state.archive, config.offspring_size, rng
+    parents, picks = sample_parents(
+        sampling, population, archive, config.offspring_size, rng
     )
-    offspring = []
-    for parent in parents:
-        genotype = mutate(parent.genotype, config.sigma, rng, params)
-        offspring.append(_make_individual(state, genotype, g_next, parent))
+    values = mutate(parents[VALUE], space, config.sigma, rng, params)
+    kids = _evaluate(values, space, params, state.next_id, g_next, parents)
+    state.next_id += kids.shape[1]
 
-    pool = population + offspring
-    archive_points = state.archive.coords() if state.archive is not None else _NO_POINTS
-    scores = _pool_novelty(
-        _coordinate_rows(pool), archive_points, config.k, config.metric
-    )
-    for ind, score in zip(pool, scores):
-        ind.novelty = float(score)
+    pool = np.concatenate((population, kids), axis=1)
+    archive_points = archive.coords() if archive is not None else _NO_POINTS
+    pool[NOVELTY] = _pool_novelty(pool[: ARC + 1], archive_points, config.k, config.metric)
 
     # Elitist truncation; ties go to the newer individual, then the lower id.
-    survivors = sorted(
-        pool, key=lambda ind: (-ind.novelty, -ind.birth_generation, ind.id)
-    )[: config.pop_size]
+    survivors = np.lexsort((pool[ID], -pool[BIRTH_GEN], -pool[NOVELTY]))[: config.pop_size]
 
-    kappas = None
-    if isinstance(state.archive, UnstructuredArchive):
-        state.archive.update(survivors, rng)
-    elif isinstance(state.archive, GridArchive):
-        kappas = [state.archive.insert(child, rng) for child in offspring]
+    if isinstance(archive, UnstructuredArchive):
+        archive.update(pool[:, survivors], rng)
+    elif isinstance(archive, GridArchive):
+        kappas = [archive.insert(pool[:, j], rng) for j in range(m, pool.shape[1])]
 
-    state.lineage_log.extend(
-        LineageEntry(g_next, child.id, parent.id, child.behavior.t, parent.behavior.t)
-        for child, parent in zip(offspring, parents)
-    )
+    child_ids = kids[ID].astype(np.int64).tolist()
+    parent_ids = parents[ID].astype(np.int64).tolist()
+    child_t, parent_t = kids[T].tolist(), parents[T].tolist()
+    rows = zip([g_next] * len(child_t), child_ids, parent_ids, child_t, parent_t)
+    state.lineage_log.extend(map(LineageEntry._make, rows))
 
-    if sampling.mode is SamplingMode.MIXED_GUIDED:
+    if guided:
         # The parent pool of this generation: the pre-selection population
-        # plus any sampled archive occupants it does not already contain.
-        pool_ids = {ind.id for ind in population}
-        parent_pool = list(population)
-        for parent in parents:
-            if parent.id not in pool_ids:
-                parent_pool.append(parent)
-                pool_ids.add(parent.id)
-        update_discovery_scores(
-            parent_pool, list(zip(offspring, kappas)), sampling.tau
+        # plus each sampled archive entry whose id it does not already hold.
+        held = set(population[ID].tolist())
+        extra = []  # parent columns of those entries, one per id
+        for j, ident in enumerate(parents[ID, : len(picks)].tolist()):
+            if ident not in held:
+                held.add(ident)
+                extra.append(j)
+        etas = update_discovery_scores(
+            np.concatenate((population[ID], parents[ID, extra])),
+            np.concatenate((population[ETA], parents[ETA, extra])),
+            kids[PARENT_ID],
+            kappas,
+            sampling.tau,
         )
+        pool[ETA, :m] = etas[:m]
+        archive.set_etas(picks[extra], parents[ID, extra], etas[m:])
 
-    state.population = survivors
+    state.columns = pool[:, survivors]
     state.generation = g_next
     return state

@@ -30,6 +30,8 @@ from .analysis import (
     segment_phases,
 )
 from .archives import (
+    BIRTH_DELTA,
+    NOVELTY,
     GridArchive,
     SamplingMode,
     SamplingStrategy,
@@ -533,6 +535,7 @@ def run_single(config: ExperimentConfig, run_index: int = 0) -> RunTelemetry:
     ts_chunks = [init_ts]
 
     rows = []
+    grid = isinstance(state.archive, GridArchive)
     for g in range(1, evo.g_max + 1):
         seen = len(state.lineage_log)
         step_generation(state, evo, config.sampling)
@@ -540,38 +543,27 @@ def run_single(config: ExperimentConfig, run_index: int = 0) -> RunTelemetry:
         acc.add_parameters(child_ts)
         ts_chunks.append(child_ts)
 
-        deltas = [
-            ind.birth_delta
-            for ind in state.population
-            if ind.birth_delta is not None
-        ]
+        deltas = state.columns[BIRTH_DELTA]
         archive_size = len(state.archive) if state.archive is not None else 0
-        occupied = (
-            len(state.archive.cells)
-            if isinstance(state.archive, GridArchive)
-            else 0
-        )
         rows.append(
             GenerationRow(
                 generation=g,
                 coverage_fraction=acc.fraction,
-                median_delta=median(deltas),
+                median_delta=median(deltas[~np.isnan(deltas)].tolist()),
                 archive_size=archive_size,
-                grid_occupied=occupied,
-                max_novelty=max(ind.novelty for ind in state.population),
+                grid_occupied=archive_size if grid else 0,
+                max_novelty=float(state.columns[NOVELTY].max()),
             )
         )
 
-    final_archive = (
-        list(state.archive.individuals()) if state.archive is not None else []
-    )
+    final_archive = state.archive.individuals() if state.archive is not None else []
     return RunTelemetry(
         run_index=run_index,
         seed=seed,
         init_t0=evo.init_t0,
         gen_rows=rows,
         lineage=list(state.lineage_log),
-        final_population=list(state.population),
+        final_population=state.population,
         final_archive=final_archive,
         evaluated_ts=np.concatenate(ts_chunks),
     )

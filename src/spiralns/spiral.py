@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +30,11 @@ __all__ = [
     "arc_length",
     "arc_length_from_origin",
     "invert_arc_length",
+    "invert_arc_lengths",
     "euclidean_distance",
     "geodesic_distance",
     "map_genotype",
+    "map_genotypes",
     "clamp_genotype",
     "genotype_bounds",
     "genotype_at_curve_parameter",
@@ -67,9 +70,9 @@ class SpiralParams:
     def t_max(self) -> float:
         return self.alpha * math.pi
 
-    @property
+    @cached_property
     def s_max(self) -> float:
-        """Total arc length S(0, t_max)."""
+        """Total arc length S(0, t_max), computed on first use."""
         return arc_length_from_origin(self.t_max, self)
 
     @property
@@ -137,9 +140,8 @@ def invert_arc_length(s: float, params: SpiralParams) -> float:
     Newton step leaves the current bracket.  Accepted when the arc-length
     residual drops below INVERSION_TOL.
     """
-    s_total = params.a * _arc_antiderivative(params.t_max)
-    if not 0.0 <= s <= s_total:
-        raise ValueError(f"arc length s={s} outside [0, {s_total}]")
+    if not 0.0 <= s <= params.s_max:
+        raise ValueError(f"arc length s={s} outside [0, {params.s_max}]")
     if s == 0.0:
         return 0.0
 
@@ -161,6 +163,67 @@ def invert_arc_length(s: float, params: SpiralParams) -> float:
         t = t_new
     raise RuntimeError(
         f"arc-length inversion did not converge for s={s} "
+        f"within {MAX_INVERSION_STEPS} steps"
+    )
+
+
+def _exact_arc_lengths(ts: np.ndarray, a: float, roots=None) -> np.ndarray:
+    # S(0, t) elementwise with the scalar path's operations: math.asinh per
+    # element, since np.arcsinh differs from it in the last bit on some
+    # inputs.  roots, if given, holds sqrt(t*t + 1) already.
+    if roots is None:
+        roots = np.sqrt(ts * ts + 1.0)
+    asinh = np.fromiter(map(math.asinh, ts.tolist()), float, len(ts))
+    return a * (0.5 * (ts * roots + asinh))
+
+
+def _check_range(values: np.ndarray, hi: float, what: str):
+    if values.size and not (0.0 <= values.min() and values.max() <= hi):
+        raise ValueError(f"{what} outside [0, {hi}]")
+
+
+def invert_arc_lengths(s: np.ndarray, params: SpiralParams) -> tuple:
+    """invert_arc_length elementwise, plus S(0, t) at each solution.
+
+    Every element takes the scalar routine's iterates, in the same floating
+    point operations, until its own residual is accepted; converged elements
+    leave the active set.  Returns (t, arc) arrays equal to
+    invert_arc_length(s) and arc_length_from_origin(t) bit for bit.
+    """
+    s = np.asarray(s, dtype=float)
+    _check_range(s, params.s_max, "arc length")
+    a, n = params.a, len(s)
+    t, arc = np.empty(n), np.empty(n)
+    # Indices, targets, iterates and Newton brackets of the active elements.
+    # Adding 0.0 turns the start -0.0 into 0.0, where s = 0 converges at once.
+    active, target = np.arange(n), s
+    ta = np.minimum(np.sqrt(2.0 * s / a), params.t_max) + 0.0
+    lo, hi = np.zeros(n), np.full(n, params.t_max)
+    for _ in range(MAX_INVERSION_STEPS):
+        roots = np.sqrt(ta * ta + 1.0)
+        sa = _exact_arc_lengths(ta, a, roots)
+        f = sa - target
+        done = np.abs(f) <= INVERSION_TOL
+        n_done = np.count_nonzero(done)
+        if n_done == len(active):
+            t[active], arc[active] = ta, sa
+            return t, arc
+        if n_done:
+            t[active[done]], arc[active[done]] = ta[done], sa[done]
+            going = ~done
+            active, target, ta, lo, hi, f, roots = (
+                v[going] for v in (active, target, ta, lo, hi, f, roots)
+            )
+        above = f > 0.0
+        hi = np.where(above, ta, hi)
+        lo = np.where(above, lo, ta)
+        t_new = ta - f / (a * roots)
+        inside = (lo < t_new) & (t_new < hi)
+        if np.count_nonzero(inside) < len(ta):
+            t_new = np.where(inside, t_new, 0.5 * (lo + hi))
+        ta = t_new
+    raise RuntimeError(
+        f"arc-length inversion did not converge for s={target[0]} "
         f"within {MAX_INVERSION_STEPS} steps"
     )
 
@@ -204,6 +267,22 @@ def map_genotype(g: Genotype, params: SpiralParams) -> BehaviorPoint:
     if g.space is GenotypeSpace.ANGLE:
         return spiral_point(g.value, params)
     return spiral_point(invert_arc_length(g.value, params), params)
+
+
+def map_genotypes(values: np.ndarray, space: GenotypeSpace, params: SpiralParams) -> tuple:
+    """map_genotype elementwise: (t, x, y, arc_pos) arrays for genotype values.
+
+    Equal to map_genotype and arc_length_from_origin of the same values bit
+    for bit; raises on out-of-bounds values.
+    """
+    values = np.asarray(values, dtype=float)
+    if space is GenotypeSpace.ARC_LENGTH:
+        t, arc = invert_arc_lengths(values, params)
+    else:
+        _check_range(values, params.t_max, "angle genotype")
+        t, arc = values, _exact_arc_lengths(values, params.a)
+    r = params.a * t
+    return t, r * np.cos(t), r * np.sin(t), arc
 
 
 def clamp_genotype(g: Genotype, params: SpiralParams) -> Genotype:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .spiral import SpiralParams, spiral_point
+from .spiral import SpiralParams
 
 __all__ = ["render_svg", "emit_svg"]
 
@@ -21,25 +21,20 @@ MAX_DOTS = 20000
 CURVE_STEP = 0.02  # curve parameter increment between polyline vertices
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
-class _Projection:
-    def __init__(self, params: SpiralParams):
-        extent = params.extent
-        self.scale = (SIZE - 2 * MARGIN) / (2 * extent)
-        self.extent = extent
-
-    def __call__(self, x: float, y: float) -> tuple:
-        px = MARGIN + (x + self.extent) * self.scale
-        py = MARGIN + (self.extent - y) * self.scale
-        return px, py
+def _projected(ts: np.ndarray, params: SpiralParams) -> tuple:
+    """Canvas coordinates of the curve points at parameters ts, as lists."""
+    if ts.size and not (0.0 <= ts.min() and ts.max() <= params.t_max):
+        raise ValueError(f"curve parameters outside the curve domain [0, {params.t_max}]")
+    extent = params.extent
+    scale = (SIZE - 2 * MARGIN) / (2 * extent)
+    r = params.a * ts
+    px = MARGIN + (r * np.cos(ts) + extent) * scale
+    py = MARGIN + (extent - r * np.sin(ts)) * scale
+    return px.tolist(), py.tolist()
 
 
 def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str:
     """SVG document: spiral polyline, one dot per behavior, start marker."""
-    proj = _Projection(params)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
@@ -51,33 +46,25 @@ def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str
     parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
 
     n_curve = int(math.floor(params.t_max / CURVE_STEP)) + 1
-    curve_ts = np.linspace(0.0, params.t_max, n_curve)
-    points = []
-    for t in curve_ts:
-        p = spiral_point(float(t), params)
-        px, py = proj(p.x, p.y)
-        points.append(f"{_fmt(px)},{_fmt(py)}")
+    px, py = _projected(np.linspace(0.0, params.t_max, n_curve), params)
+    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
     parts.append(
-        f'<polyline points="{" ".join(points)}" fill="none" '
-        'stroke="#bbbbbb" stroke-width="1"/>'
+        f'<polyline points="{points}" fill="none" stroke="#bbbbbb" stroke-width="1"/>'
     )
 
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.size > MAX_DOTS:
         stride = int(math.ceil(ts.size / MAX_DOTS))
         ts = ts[::stride]
-    for t in ts:
-        p = spiral_point(float(t), params)
-        px, py = proj(p.x, p.y)
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="1.6" '
-            'fill="#1f77b4" fill-opacity="0.55"/>'
-        )
+    px, py = _projected(ts, params)
+    parts.extend(
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="#1f77b4" fill-opacity="0.55"/>'
+        for x, y in zip(px, py)
+    )
 
-    start = spiral_point(init_t0, params)
-    sx, sy = proj(start.x, start.y)
+    (sx,), (sy,) = _projected(np.array([init_t0]), params)
     parts.append(
-        f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="5" fill="#d62728" '
+        f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="5" fill="#d62728" '
         'stroke="black" stroke-width="1"/>'
     )
     parts.append("</svg>")

@@ -23,16 +23,15 @@ from spiralns import (
     fit_damped_oscillator,
     geodesic_distance,
     invert_arc_length,
-    novelty_score,
     parse_config,
     run_single,
     segment_phases,
     spiral_point,
-    unstructured_update,
     update_discovery_scores,
 )
 from spiralns.analysis import median
-from spiralns.evolution import Individual
+from spiralns.archives import to_columns
+from spiralns.evolution import Individual, _pool_novelty
 from spiralns.experiments import execute_batch
 
 PARAMS = SpiralParams()
@@ -240,10 +239,9 @@ def test_criterion_8_exact_property_suite(criterion):
         pop = [_random_individual(rng, i) for i in range(n)]
         k = int(rng.integers(1, 15))
         metric = Metric.EUCLIDEAN if rng.random() < 0.5 else Metric.GEODESIC
-        subject = pop[int(rng.integers(n))]
-        exact += novelty_score(subject, pop, [], k, metric) == _brute_force_novelty(
-            subject, pop, k, metric
-        )
+        i = int(rng.integers(n))
+        scores = _pool_novelty(to_columns(pop)[:3], np.empty((3, 0)), k, metric)
+        exact += float(scores[i]) == _brute_force_novelty(pop[i], pop, k, metric)
     checks["novelty oracle 100/100"] = exact == 100
 
     # bounded archives never exceed capacity and saturate exactly
@@ -251,9 +249,9 @@ def test_criterion_8_exact_property_suite(criterion):
     pop = [_random_individual(rng, i) for i in range(30)]
     sizes_ok = True
     for _ in range(40):
-        arch = unstructured_update(arch, pop, rng)
-        sizes_ok = sizes_ok and len(arch.members) <= 100
-    checks["archive capacity"] = sizes_ok and len(arch.members) == 100
+        arch.update(to_columns(pop), rng)
+        sizes_ok = sizes_ok and len(arch) <= 100
+    checks["archive capacity"] = sizes_ok and len(arch) == 100
 
     # fresh discovery shares are normalized across parents
     parents = [_random_individual(rng, i) for i in range(8)]
@@ -270,10 +268,14 @@ def test_criterion_8_exact_property_suite(criterion):
         kids.append((child, int(rng.random() < 0.5)))
     if not any(kappa for _, kappa in kids):
         kids[0] = (kids[0][0], 1)
-    updated = update_discovery_scores(parents, kids, tau=0.0)
-    checks["eta shares sum to 1"] = math.isclose(
-        sum(p.eta for p in updated), 1.0, rel_tol=1e-12
+    updated = update_discovery_scores(
+        [p.id for p in parents],
+        [p.eta for p in parents],
+        [child.parent_id for child, _ in kids],
+        [kappa for _, kappa in kids],
+        tau=0.0,
     )
+    checks["eta shares sum to 1"] = math.isclose(sum(updated), 1.0, rel_tol=1e-12)
 
     # median agrees with the numpy oracle exactly
     med_ok = all(

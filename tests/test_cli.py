@@ -187,3 +187,14 @@ class TestPlot:
         )
         assert code == 2
         assert stderr.strip()
+
+    def test_lineage_without_header_exits_2(self, batch_dir, tmp_path, capsys):
+        bare = tmp_path / "bare_lineage.csv"
+        lines = (batch_dir / "run_000_lineage.csv").read_text().splitlines(keepends=True)
+        bare.write_text("".join(line for line in lines if not line.startswith("#")))
+        code, _, stderr = run_cli(
+            ["plot", str(bare), "--out", str(tmp_path / "p.svg")], capsys
+        )
+        assert code == 2
+        assert stderr == f"error: {bare}: missing header key evolution.pop_size\n"
+        assert not (tmp_path / "p.svg").exists()

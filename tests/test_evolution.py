@@ -17,16 +17,11 @@ from spiralns import (
     init_population,
     map_genotype,
     mutate,
-    novelty_score,
     spiral_point,
     step_generation,
 )
-from spiralns.evolution import (
-    TREE_CROSSOVER,
-    Individual,
-    _coordinate_rows,
-    _pool_novelty,
-)
+from spiralns.archives import to_columns
+from spiralns.evolution import TREE_CROSSOVER, Individual, _pool_novelty
 from spiralns.spiral import BehaviorPoint
 
 PARAMS = SpiralParams()
@@ -93,35 +88,81 @@ class TestInitPopulation:
             EvolutionConfig(sigma=bad).validate(PARAMS)
 
 
+ANGLE = GenotypeSpace.ANGLE
+
+
 class TestMutate:
     def test_tiny_sigma_is_identity_in_the_limit(self):
         rng = np.random.default_rng(0)
-        g = Genotype(10.0, GenotypeSpace.ANGLE)
-        out = mutate(g, 1e-12, rng, PARAMS)
-        assert out.value == pytest.approx(10.0, abs=1e-9)
-        assert out.space is GenotypeSpace.ANGLE
+        out = mutate(np.array([10.0]), ANGLE, 1e-12, rng, PARAMS)
+        assert out[0] == pytest.approx(10.0, abs=1e-9)
 
     def test_interior_sample_statistics(self):
         rng = np.random.default_rng(1)
         sigma = 0.3
-        g = Genotype(15 * math.pi, GenotypeSpace.ANGLE)  # far from both bounds
-        deltas = np.array(
-            [mutate(g, sigma, rng, PARAMS).value - g.value for _ in range(100_000)]
-        )
+        start = 15 * math.pi  # far from both bounds
+        deltas = mutate(np.full(100_000, start), ANGLE, sigma, rng, PARAMS) - start
         assert abs(deltas.mean()) <= 3 * sigma / math.sqrt(len(deltas))
         assert deltas.std() == pytest.approx(sigma, rel=0.02)
 
     def test_clamps_at_bounds(self):
         rng = np.random.default_rng(2)
-        g = Genotype(0.0, GenotypeSpace.ANGLE)
-        values = [mutate(g, 0.3, rng, PARAMS).value for _ in range(200)]
-        assert min(values) == 0.0  # roughly half the draws clamp to the bound
-        assert all(v >= 0.0 for v in values)
+        values = mutate(np.zeros(200), ANGLE, 0.3, rng, PARAMS)
+        assert values.min() == 0.0  # roughly half the draws clamp to the bound
+        assert np.all(values >= 0.0)
+        top = mutate(np.full(200, PARAMS.s_max), GenotypeSpace.ARC_LENGTH, 0.3, rng, PARAMS)
+        assert top.max() == PARAMS.s_max
+
+    def test_one_draw_equals_scalar_draws(self):
+        values = np.linspace(1.0, 90.0, 30)
+        out = mutate(values, ANGLE, 0.3, np.random.default_rng(4), PARAMS)
+        rng = np.random.default_rng(4)
+        assert out.tolist() == [v + rng.normal(0.0, 0.3) for v in values.tolist()]
 
     def test_rejects_bad_sigma(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            mutate(Genotype(1.0, GenotypeSpace.ANGLE), 0.0, rng, PARAMS)
+            mutate(np.array([1.0]), ANGLE, 0.0, rng, PARAMS)
+
+
+def novelty_score(subject, population, archive_members, k, metric):
+    """Scalar oracle: mean distance from the subject to its k nearest neighbors.
+
+    Neighbors come from population and archive; the subject instance itself
+    is excluded, coincident other individuals are not.  With fewer than k
+    candidates the mean runs over whatever is available; with none the score
+    is zero.
+    """
+    if metric is Metric.GEODESIC:
+        dists = [
+            abs(subject.arc_pos - other.arc_pos)
+            for other in population + archive_members
+            if other is not subject
+        ]
+    else:
+        sx, sy = subject.behavior.x, subject.behavior.y
+        dists = []
+        for other in population + archive_members:
+            if other is subject:
+                continue
+            dx = sx - other.behavior.x
+            dy = sy - other.behavior.y
+            dists.append(math.sqrt(dx * dx + dy * dy))
+    if not dists:
+        return 0.0
+    dists.sort()
+    k_eff = min(k, len(dists))
+    return sum(dists[:k_eff]) / k_eff
+
+
+def coords(individuals):
+    return to_columns(individuals)[:3]
+
+
+def pool_score(subject, pool, archive_members, k, metric):
+    """The subject's score from the program's pool scorer."""
+    scores = _pool_novelty(coords(pool), coords(archive_members), k, metric)
+    return float(scores[next(i for i, ind in enumerate(pool) if ind is subject)])
 
 
 def brute_force_novelty(subject, others, k, metric):
@@ -147,7 +188,7 @@ def brute_force_novelty(subject, others, k, metric):
 class TestNoveltyScore:
     def test_coincident_pair_scores_zero(self):
         a, b = make_individual(5.0, 0), make_individual(5.0, 1)
-        assert novelty_score(a, [a, b], [], 1, Metric.EUCLIDEAN) == 0.0
+        assert pool_score(a, [a, b], [], 1, Metric.EUCLIDEAN) == 0.0
 
     def test_three_point_hand_configuration(self):
         subject = make_individual(0.0, 0)
@@ -155,7 +196,7 @@ class TestNoveltyScore:
         far = make_individual(math.pi, 2)
         # distances from the origin are just the radii a*t
         expected = (0.01 * math.pi / 2 + 0.01 * math.pi) / 2
-        got = novelty_score(subject, [subject, near, far], [], 2, Metric.EUCLIDEAN)
+        got = pool_score(subject, [subject, near, far], [], 2, Metric.EUCLIDEAN)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_matches_brute_force_oracle_exactly(self):
@@ -174,8 +215,9 @@ class TestNoveltyScore:
                 for i, t in enumerate(rng.uniform(0, PARAMS.t_max, n_arch))
             ]
             subject = pop[int(rng.integers(n))]
-            got = novelty_score(subject, pop, arch, k, metric)
+            got = pool_score(subject, pop, arch, k, metric)
             want = brute_force_novelty(subject, pop + arch, k, metric)
+            assert novelty_score(subject, pop, arch, k, metric) == want
             assert got == want  # exact, not approximate
 
     def test_vectorized_pool_matches_single_subject_scoring(self):
@@ -189,20 +231,18 @@ class TestNoveltyScore:
                 make_individual(float(t), 100 + i)
                 for i, t in enumerate(rng.uniform(0, PARAMS.t_max, 15))
             ]
-            scores = _pool_novelty(
-                _coordinate_rows(pool), _coordinate_rows(arch), 10, metric
-            )
+            scores = _pool_novelty(coords(pool), coords(arch), 10, metric)
             for ind, score in zip(pool, scores):
                 assert float(score) == novelty_score(ind, pool, arch, 10, metric)
 
     def test_no_candidates_scores_zero(self):
         a = make_individual(3.0, 0)
-        assert novelty_score(a, [a], [], 5, Metric.GEODESIC) == 0.0
+        assert pool_score(a, [a], [], 5, Metric.GEODESIC) == 0.0
 
     def test_fewer_than_k_candidates_averages_all(self):
         a, b = make_individual(1.0, 0), make_individual(2.0, 1)
         want = abs(a.arc_pos - b.arc_pos)
-        assert novelty_score(a, [a, b], [], 10, Metric.GEODESIC) == want
+        assert pool_score(a, [a, b], [], 10, Metric.GEODESIC) == want
 
 
 def at(ident: int, x: float = 0.0, y: float = 0.0, arc: float = 0.0) -> Individual:
@@ -225,7 +265,7 @@ class TestPoolNovelty:
     """The pool scorer must equal the scalar novelty_score bit for bit."""
 
     def check(self, pool, arch, k, metric):
-        scores = _pool_novelty(_coordinate_rows(pool), _coordinate_rows(arch), k, metric)
+        scores = _pool_novelty(coords(pool), coords(arch), k, metric)
         want = [novelty_score(ind, pool, arch, k, metric) for ind in pool]
         assert [float(s) for s in scores] == want
 
@@ -294,13 +334,16 @@ class TestStepGeneration:
         cfg = EvolutionConfig(seed=5)
         state = init_population(cfg, PARAMS)
         for _ in range(3):
-            pre = list(state.population)
+            # Records are copies, so the pool's fresh scores come from the oracle.
+            pre = state.population
             before = len(state.lineage_log)
             step_generation(state, cfg, POP_ONLY)
-            new_ids = {e.child_id for e in state.lineage_log[before:]}
-            pool = pre + [i for i in state.population if i.id in new_ids]
+            kids = [make_individual(e.child_t, e.child_id) for e in state.lineage_log[before:]]
+            pool = pre + kids
+            novelty = {i.id: novelty_score(i, pool, [], cfg.k, cfg.metric) for i in pool}
+            assert all(i.novelty == novelty[i.id] for i in state.population)
             survivors = {i.id for i in state.population}
-            discarded_scores = [i.novelty for i in pool if i.id not in survivors]
+            discarded_scores = [v for i, v in novelty.items() if i not in survivors]
             if discarded_scores:
                 worst_survivor = min(i.novelty for i in state.population)
                 assert worst_survivor >= max(discarded_scores) or math.isclose(

@@ -308,12 +308,14 @@ class TestSvg:
             invert_arc_length((i + 0.5) * PARAMS.s_max / 10, PARAMS) for i in range(10)
         ]
         doc = render_svg(ts, PARAMS, init_t0=0.0)
-        from spiralns.svgplot import MARGIN, SIZE, _Projection
+        from spiralns.svgplot import MARGIN, SIZE
 
-        proj = _Projection(PARAMS)
+        extent = PARAMS.extent
+        scale = (SIZE - 2 * MARGIN) / (2 * extent)
         for t in ts:
             p = spiral_point(t, PARAMS)
-            px, py = proj(p.x, p.y)
+            px = MARGIN + (p.x + extent) * scale
+            py = MARGIN + (extent - p.y) * scale
             assert f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.6"' in doc
 
     def test_byte_determinism(self, tmp_path):
@@ -331,3 +333,43 @@ class TestSvg:
     def test_header_comments_cannot_break_the_document(self):
         doc = render_svg([], PARAMS, 0.0, [("output_dir", "runs--today")])
         assert "--" not in doc.split("<!--", 1)[1].split("-->", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        {"archive.kind": "none", "evolution.genotype_space": "arc_length"},
+        {"archive.kind": "unstructured_unbounded"},
+        {
+            "archive.kind": "unstructured_bounded",
+            "archive.max_size": "50",
+            "sampling.mode": "mixed_random",
+        },
+        {"archive.kind": "grid", "sampling.mode": "mixed_guided"},
+    ],
+)
+def test_generation_loop_builds_no_records(items, monkeypatch):
+    # Records are built only where the state is read from outside the loop
+    # (the final population and archive), never per generation.
+    from spiralns import BehaviorPoint, Genotype, Individual, experiments
+
+    built = []
+    for cls in (Individual, Genotype, BehaviorPoint):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    marks = []
+    step = experiments.step_generation
+
+    def marked(*args, **kwargs):
+        marks.append(len(built))
+        step(*args, **kwargs)
+        marks.append(len(built))
+
+    monkeypatch.setattr(experiments, "step_generation", marked)
+    config = experiments.config_from_items({**items, "evolution.g_max": "20", "runs": "1"})
+    tel = run_single(config)
+    assert len(marks) == 40 and len(set(marks)) == 1
+    assert tel.final_population and len(built) > marks[-1]  # the counter is live

@@ -23,6 +23,7 @@ from dataclasses import replace
 
 import pytest
 
+from spiralns.cli import main
 from spiralns.experiments import Scenario, config_from_items, run_batch
 
 DIGESTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
@@ -70,6 +71,19 @@ def artifact_digests(name: str) -> dict:
     return digests
 
 
+# The panel `spiralns plot` renders from three copies of the Fig2b batch's
+# lineage: 27,180 behaviors, more than the renderer's dot cap, so the dots
+# are strided.
+PANEL = "plot_panel"
+
+
+def panel_digest() -> dict:
+    artifact_digests("Fig2b")
+    assert main(["plot", "out", "out", "out", "--out", "panel.svg"]) == 0
+    with open("panel.svg", "rb") as fh:
+        return {"panel.svg": hashlib.sha256(fh.read()).hexdigest()}
+
+
 def _pinned() -> dict:
     with open(DIGESTS_PATH) as fh:
         return json.load(fh)
@@ -81,8 +95,13 @@ def test_artifacts_match_pinned_digests(name, tmp_path, monkeypatch):
     assert artifact_digests(name) == _pinned()[name]
 
 
+def test_plot_panel_matches_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert panel_digest() == _pinned()[PANEL]
+
+
 def test_every_config_is_pinned():
-    assert sorted(_pinned()) == sorted(CONFIGS)
+    assert sorted(_pinned()) == sorted([*CONFIGS, PANEL])
 
 
 if __name__ == "__main__":
@@ -94,6 +113,9 @@ if __name__ == "__main__":
             os.chdir(tmp)
             pinned[name] = artifact_digests(name)
         print(name, file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        pinned[PANEL] = panel_digest()
     with open(DIGESTS_PATH, "w") as fh:
         json.dump(pinned, fh, indent=1, sort_keys=True)
         fh.write("\n")

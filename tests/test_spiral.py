@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spiralns import (
@@ -22,6 +24,7 @@ from spiralns import (
     map_genotype,
     spiral_point,
 )
+from spiralns.spiral import invert_arc_lengths, map_genotypes
 
 PARAMS = SpiralParams()
 
@@ -202,3 +205,58 @@ class TestParams:
         p = BehaviorPoint(0.0, 0.0, 0.0)
         with pytest.raises(AttributeError):
             p.x = 1.0
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+S_MAX = PARAMS.s_max
+# Arc lengths anywhere on the curve, with the bounds (and -0.0) and values
+# within 1e-9 of either bound drawn often.
+ARC_LENGTHS = st.lists(
+    st.floats(0.0, S_MAX)
+    | st.sampled_from([0.0, -0.0, S_MAX])
+    | st.floats(0.0, 1e-9)
+    | st.floats(S_MAX - 1e-9, S_MAX),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestVectorisedMapping:
+    """The array routines of the generation loop equal the scalar ones bit for bit."""
+
+    @settings(deadline=None)
+    @given(ARC_LENGTHS)
+    def test_inversion_equals_scalar(self, values):
+        t, arc = invert_arc_lengths(np.array(values), PARAMS)
+        want = [invert_arc_length(s, PARAMS) for s in values]
+        assert bits(t) == bits(want)
+        assert bits(arc) == bits([arc_length_from_origin(x, PARAMS) for x in want])
+
+    @settings(deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("space", list(GenotypeSpace))
+    def test_map_equals_scalar(self, space, data):
+        hi = genotype_bounds(space, PARAMS)[1]
+        values = data.draw(
+            st.lists(st.floats(0.0, hi) | st.sampled_from([0.0, hi]), min_size=1, max_size=40)
+        )
+        t, x, y, arc = map_genotypes(np.array(values), space, PARAMS)
+        points = [map_genotype(Genotype(v, space), PARAMS) for v in values]
+        assert bits(t) == bits([p.t for p in points])
+        assert bits(x) == bits([p.x for p in points])
+        assert bits(y) == bits([p.y for p in points])
+        assert bits(arc) == bits([arc_length_from_origin(p.t, PARAMS) for p in points])
+
+    @pytest.mark.parametrize("space", list(GenotypeSpace))
+    def test_out_of_bounds_rejected(self, space):
+        hi = genotype_bounds(space, PARAMS)[1]
+        for bad in (-1e-12, hi * (1 + 1e-12), math.nan):
+            with pytest.raises(ValueError):
+                map_genotypes(np.array([1.0, bad]), space, PARAMS)
+
+    def test_empty_input(self):
+        for space in GenotypeSpace:
+            assert all(a.size == 0 for a in map_genotypes(np.array([]), space, PARAMS))
