@@ -13,12 +13,18 @@ import os
 import sys
 
 from . import __version__
-from .analysis import MIN_FIT_SAMPLES, fit_damped_oscillator, segment_phases
+# Unused here: bench/layers.py wraps these names on this module (analyze
+# reaches them through experiments.fit_cells).
+from .analysis import fit_damped_oscillator, segment_phases  # noqa: F401
 from .experiments import (
+    CONFIG_KEYS,
+    FIT_COLUMNS,
     ConfigError,
     config_from_items,
     effective_config_items,
+    fit_cells,
     parse_config_items,
+    parse_value,
     read_lineage,
     read_telemetry,
     run_batch,
@@ -26,46 +32,12 @@ from .experiments import (
 from .spiral import SpiralParams
 from .svgplot import emit_svg
 
-# Config key, command line flag and help text of each config flag.
-_CONFIG_FLAGS = [
-    ("scenario", "--scenario", "named scenario or Custom"),
-    ("runs", "--runs", "number of seeded runs in the batch"),
-    ("base_seed", "--seed", "base seed; run i uses seed + i"),
-    ("output_dir", "--out", "output directory"),
-    ("spiral.a", "--spiral-a", "spiral scale coefficient"),
-    ("spiral.alpha", "--alpha", "spiral turns parameter"),
-    ("evolution.pop_size", "--pop-size", "population size"),
-    ("evolution.offspring_size", "--offspring-size", "offspring per generation"),
-    ("evolution.k", "--k", "nearest neighbors for novelty"),
-    ("evolution.sigma", "--sigma", "mutation standard deviation"),
-    ("evolution.g_max", "--g-max", "generations per run"),
-    ("evolution.metric", "--metric", "euclidean or geodesic"),
-    ("evolution.genotype_space", "--genotype-space", "angle or arc_length"),
-    ("evolution.init_t0", "--init-t0", "initial curve parameter"),
-    (
-        "archive.kind",
-        "--archive-kind",
-        "none, unstructured_unbounded, unstructured_bounded or grid",
-    ),
-    ("archive.max_size", "--archive-max-size", "bound for a bounded archive"),
-    (
-        "archive.additions_per_generation",
-        "--archive-additions",
-        "archive additions per generation",
-    ),
-    ("archive.resolution", "--grid-resolution", "grid cells per axis"),
-    ("archive.epsilon", "--grid-epsilon", "grid replacement probability"),
-    ("sampling.mode", "--sampling-mode", "population_only, mixed_random or mixed_guided"),
-    ("sampling.archive_fraction", "--archive-fraction", "parent slots drawn from archive"),
-    ("sampling.tau", "--tau", "discovery score update rate"),
-]
-
 
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="FILE", help="key = value config file")
-    for key, flag, text in _CONFIG_FLAGS:
-        metavar = flag[2:].replace("-", "_").upper()
-        parser.add_argument(flag, dest=key, metavar=metavar, help=text)
+    for row in CONFIG_KEYS:
+        metavar = row.flag[2:].replace("-", "_").upper()
+        parser.add_argument(row.flag, dest=row.key, metavar=metavar, help=row.help)
 
 
 def _collect_items(args) -> dict:
@@ -73,10 +45,10 @@ def _collect_items(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             items = parse_config_items(fh.read(), f"{args.config}:")
-    for key, _, _ in _CONFIG_FLAGS:
-        value = getattr(args, key)
+    for row in CONFIG_KEYS:
+        value = getattr(args, row.key)
         if value is not None:
-            items[key] = value
+            items[row.key] = value
     return items
 
 
@@ -87,7 +59,7 @@ def _echo_config(config):
 
 def _cmd_run(args) -> int:
     items = _collect_items(args)
-    if items.get("runs") not in (None, "1"):
+    if parse_value("runs", items.get("runs", "1")) != 1:
         raise ConfigError("runs: the run subcommand executes exactly one run; use batch")
     items["runs"] = "1"
     config = config_from_items(items)
@@ -123,18 +95,7 @@ def _expand_inputs(inputs, suffix) -> list:
     return paths
 
 
-ANALYSIS_COLUMNS = [
-    "file",
-    "generations",
-    "final_coverage",
-    "fit_amplitude",
-    "fit_decay",
-    "fit_frequency",
-    "fit_phase",
-    "fit_offset",
-    "fit_residual",
-    "phase_count",
-]
+ANALYSIS_COLUMNS = ["file", "generations", "final_coverage", *FIT_COLUMNS]
 
 
 def _cmd_analyze(args) -> int:
@@ -146,22 +107,7 @@ def _cmd_analyze(args) -> int:
         _, rows = read_telemetry(path)
         H = [row.median_delta for row in rows]
         final_coverage = rows[-1].coverage_fraction if rows else 0.0
-        cells = [""] * 6
-        phase_count = ""
-        if len(H) >= MIN_FIT_SAMPLES:
-            fit = fit_damped_oscillator(H)
-            cells = [
-                repr(fit.amplitude),
-                repr(fit.decay),
-                repr(fit.frequency),
-                repr(fit.phase),
-                repr(fit.offset),
-                repr(fit.residual),
-            ]
-            phase_count = str(len(segment_phases(H)))
-        out_rows.append(
-            [path, str(len(H)), repr(final_coverage), *cells, phase_count]
-        )
+        out_rows.append([path, str(len(H)), repr(final_coverage), *fit_cells(H)])
         print(f"{path}: coverage {final_coverage!r}")
 
     with open(args.out, "w", newline="\n") as fh:
@@ -173,33 +119,33 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _header_value(path, header, key):
+    if key not in header:
+        raise ConfigError(f"{path}: missing header key {key}")
+    try:
+        return parse_value(key, header[key])
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _cmd_plot(args) -> int:
     import numpy as np
 
     paths = _expand_inputs(args.inputs, "_lineage.csv")
     ts_parts = []
-    first_header = None
+    first = None
     for path in paths:
         header, entries = read_lineage(path)
-        for key in ("evolution.pop_size", "evolution.init_t0", "spiral.a", "spiral.alpha"):
-            if key not in header:
-                raise ConfigError(f"{path}: missing header key {key}")
-        if first_header is None:
-            first_header = header
-        pop_size = int(header["evolution.pop_size"])
-        init_t0 = float(header["evolution.init_t0"])
+        pop_size, init_t0, a, alpha = [
+            _header_value(path, header, key)
+            for key in ("evolution.pop_size", "evolution.init_t0", "spiral.a", "spiral.alpha")
+        ]
+        if first is None:
+            first = header, init_t0, SpiralParams(a, alpha)
         ts_parts.append(np.full(pop_size, init_t0))
         ts_parts.append(np.array([e.child_t for e in entries]))
-    params = SpiralParams(
-        float(first_header["spiral.a"]), float(first_header["spiral.alpha"])
-    )
-    emit_svg(
-        np.concatenate(ts_parts),
-        params,
-        float(first_header["evolution.init_t0"]),
-        args.out,
-        list(first_header.items()),
-    )
+    header, init_t0, params = first
+    emit_svg(np.concatenate(ts_parts), params, init_t0, args.out, list(header.items()))
     print(f"wrote {args.out}")
     return 0
 

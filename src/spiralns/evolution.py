@@ -32,7 +32,8 @@ from .archives import (
     to_records,
     update_discovery_scores,
 )
-from .spiral import GenotypeSpace, SpiralParams, genotype_at_curve_parameter, genotype_bounds
+from .spiral import INVERSION_TOL, GenotypeSpace, SpiralParams
+from .spiral import genotype_at_curve_parameter, genotype_bounds
 
 # The vectorised map, under the name the generation loop looks up on each
 # call, so a tracer can wrap it here (see bench/layers.py).
@@ -96,6 +97,18 @@ class EvolutionConfig:
             raise ValueError(
                 f"init_t0 must lie in [0, {params.t_max}], got {self.init_t0}"
             )
+        if self.genotype_space is GenotypeSpace.ARC_LENGTH:
+            # Near t_max, adjacent floats t lie a*sqrt(t^2+1)*ulp(t) apart in
+            # arc length and S(0, t) is rounded to ulps of s_max.  Past the
+            # inversion tolerance, some arc lengths have no t to invert to.
+            t = params.t_max
+            gap = params.a * math.hypot(t, 1.0) * math.ulp(t) + 2 * math.ulp(params.s_max)
+            if not gap <= INVERSION_TOL:
+                raise ValueError(
+                    f"spiral.a/spiral.alpha: arc lengths up to {params.s_max!r} are too "
+                    "coarse to invert in the arc_length genotype space; use a smaller "
+                    "spiral or genotype_space = angle"
+                )
 
 
 @dataclass

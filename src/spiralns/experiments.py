@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import NamedTuple, Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .archives import (
     UnstructuredArchive,
 )
 from .evolution import (
-    DEFAULT_INIT_T0,
     EvolutionConfig,
     LineageEntry,
     Metric,
@@ -52,11 +52,14 @@ __all__ = [
     "ArchiveKind",
     "ConfigError",
     "ExperimentConfig",
+    "ConfigKey",
+    "CONFIG_KEYS",
     "GenerationRow",
     "RunTelemetry",
     "BatchResult",
     "parse_config",
     "parse_config_items",
+    "parse_value",
     "config_from_items",
     "effective_config_items",
     "evaluation_count",
@@ -64,6 +67,7 @@ __all__ = [
     "execute_batch",
     "run_batch",
     "emit_summary",
+    "fit_cells",
     "read_telemetry",
     "read_lineage",
     "COVERAGE_BINS",
@@ -159,7 +163,7 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Config keys: flat dotted paths, each with a parser and a setter.
+# Config keys: flat dotted paths, each with a parser and an attribute path.
 
 def _parse_int(key, text):
     try:
@@ -200,71 +204,105 @@ def _parse_str(key, text):
     return text
 
 
-_KEY_PARSERS = {
-    "runs": _parse_int,
-    "base_seed": _parse_int,
-    "output_dir": _parse_str,
-    "spiral.a": _parse_float,
-    "spiral.alpha": _parse_float,
-    "evolution.pop_size": _parse_int,
-    "evolution.offspring_size": _parse_int,
-    "evolution.k": _parse_int,
-    "evolution.sigma": _parse_float,
-    "evolution.g_max": _parse_int,
-    "evolution.metric": _enum_parser(Metric),
-    "evolution.genotype_space": _enum_parser(GenotypeSpace),
-    "evolution.init_t0": _parse_float,
-    "archive.kind": _enum_parser(ArchiveKind),
-    "archive.max_size": _parse_optional_int,
-    "archive.additions_per_generation": _parse_int,
-    "archive.resolution": _parse_int,
-    "archive.epsilon": _parse_float,
-    "sampling.mode": _enum_parser(SamplingMode),
-    "sampling.archive_fraction": _parse_float,
-    "sampling.tau": _parse_float,
+class ConfigKey(NamedTuple):
+    """One config key: its parser, where it lives, its flag and help text."""
+
+    key: str
+    parse: Callable  # (key, text) -> value, raising ConfigError
+    path: str  # ExperimentConfig attribute path, e.g. "evolution.sigma"
+    flag: str
+    help: str
+
+
+# Every config key, in the order headers and echoes list them.
+CONFIG_KEYS = (
+    ConfigKey("scenario", _enum_parser(Scenario), "scenario", "--scenario",
+              "named scenario or Custom"),
+    ConfigKey("runs", _parse_int, "runs", "--runs", "number of seeded runs in the batch"),
+    ConfigKey("base_seed", _parse_int, "base_seed", "--seed", "base seed; run i uses seed + i"),
+    ConfigKey("output_dir", _parse_str, "output_dir", "--out", "output directory"),
+    ConfigKey("spiral.a", _parse_float, "spiral.a", "--spiral-a", "spiral scale coefficient"),
+    ConfigKey("spiral.alpha", _parse_float, "spiral.alpha", "--alpha", "spiral turns parameter"),
+    ConfigKey("evolution.pop_size", _parse_int, "evolution.pop_size", "--pop-size",
+              "population size"),
+    ConfigKey("evolution.offspring_size", _parse_int, "evolution.offspring_size",
+              "--offspring-size", "offspring per generation"),
+    ConfigKey("evolution.k", _parse_int, "evolution.k", "--k", "nearest neighbors for novelty"),
+    ConfigKey("evolution.sigma", _parse_float, "evolution.sigma", "--sigma",
+              "mutation standard deviation"),
+    ConfigKey("evolution.g_max", _parse_int, "evolution.g_max", "--g-max",
+              "generations per run"),
+    ConfigKey("evolution.metric", _enum_parser(Metric), "evolution.metric", "--metric",
+              "euclidean or geodesic"),
+    ConfigKey("evolution.genotype_space", _enum_parser(GenotypeSpace),
+              "evolution.genotype_space", "--genotype-space", "angle or arc_length"),
+    ConfigKey("evolution.init_t0", _parse_float, "evolution.init_t0", "--init-t0",
+              "initial curve parameter"),
+    ConfigKey("archive.kind", _enum_parser(ArchiveKind), "archive_kind", "--archive-kind",
+              "none, unstructured_unbounded, unstructured_bounded or grid"),
+    ConfigKey("archive.max_size", _parse_optional_int, "archive_max_size",
+              "--archive-max-size", "bound for a bounded archive"),
+    ConfigKey("archive.additions_per_generation", _parse_int, "additions_per_generation",
+              "--archive-additions", "archive additions per generation"),
+    ConfigKey("archive.resolution", _parse_int, "grid_resolution", "--grid-resolution",
+              "grid cells per axis"),
+    ConfigKey("archive.epsilon", _parse_float, "grid_epsilon", "--grid-epsilon",
+              "grid replacement probability"),
+    ConfigKey("sampling.mode", _enum_parser(SamplingMode), "sampling.mode", "--sampling-mode",
+              "population_only, mixed_random or mixed_guided"),
+    ConfigKey("sampling.archive_fraction", _parse_float, "sampling.archive_fraction",
+              "--archive-fraction", "parent slots drawn from archive"),
+    ConfigKey("sampling.tau", _parse_float, "sampling.tau", "--tau",
+              "discovery score update rate"),
+)
+
+_KEYS = {row.key: row for row in CONFIG_KEYS}
+
+# The class owning the attributes under each path prefix ("" for top level).
+_SECTIONS = {
+    "": ExperimentConfig,
+    "spiral": SpiralParams,
+    "evolution": EvolutionConfig,
+    "sampling": SamplingStrategy,
 }
 
-_BASE_VALUES = {
-    "runs": 20,
-    "base_seed": 0,
-    "output_dir": "out",
-    "spiral.a": 0.01,
-    "spiral.alpha": 30.0,
-    "evolution.pop_size": 30,
-    "evolution.offspring_size": 30,
-    "evolution.k": 10,
-    "evolution.sigma": 0.3,
-    "evolution.g_max": 1000,
-    "evolution.metric": Metric.EUCLIDEAN,
-    "evolution.genotype_space": GenotypeSpace.ANGLE,
-    "evolution.init_t0": DEFAULT_INIT_T0,
-    "archive.kind": ArchiveKind.NONE,
-    "archive.max_size": None,
-    "archive.additions_per_generation": 6,
-    "archive.resolution": 50,
-    "archive.epsilon": 0.05,
-    "sampling.mode": SamplingMode.POPULATION_ONLY,
-    "sampling.archive_fraction": 0.5,
-    "sampling.tau": 0.5,
-}
 
-# Settings fixed by each named scenario.  Experiment-shape keys (runs,
-# seeds, output paths, the shared start point and the archive/sampling
-# rates that no reference value exists for) stay adjustable everywhere.
-_COMMON_PINS = {
-    "spiral.a": 0.01,
-    "spiral.alpha": 30.0,
-    "evolution.pop_size": 30,
-    "evolution.offspring_size": 30,
-    "evolution.k": 10,
-    "evolution.sigma": 0.3,
-    "evolution.g_max": 1000,
-    "archive.max_size": None,
-}
+def _field_default(path):
+    # Field defaults, not a default instance: SamplingStrategy zeroes
+    # archive_fraction under population-only sampling.
+    section, _, name = path.rpartition(".")
+    return next(f.default for f in fields(_SECTIONS[section]) if f.name == name)
+
+
+_DEFAULTS = {row.key: _field_default(row.path) for row in CONFIG_KEYS}
+
+
+def parse_value(key: str, text: str):
+    """The typed value of one config key's raw text; errors name the key."""
+    row = _KEYS.get(key)
+    if row is None:
+        raise ConfigError(f"unknown key: {key}")
+    return row.parse(key, str(text).strip())
+
+
+# Settings fixed by each named scenario, at their defaults unless a scenario
+# says otherwise.  Experiment-shape keys (runs, seeds, output paths, the
+# shared start point and the archive/sampling rates that no reference value
+# exists for) stay adjustable everywhere.
+_COMMON_PINS = (
+    "spiral.a",
+    "spiral.alpha",
+    "evolution.pop_size",
+    "evolution.offspring_size",
+    "evolution.k",
+    "evolution.sigma",
+    "evolution.g_max",
+    "archive.max_size",
+)
 
 
 def _pins(metric, space, kind, mode, **extra):
-    pins = dict(_COMMON_PINS)
+    pins = {key: _DEFAULTS[key] for key in _COMMON_PINS}
     pins.update(
         {
             "evolution.metric": metric,
@@ -328,20 +366,16 @@ SCENARIO_DEFAULT_RUNS = {Scenario.FIG3J: 5}
 def config_from_items(items: dict) -> ExperimentConfig:
     """Build a validated config from a flat {key: raw string} mapping."""
     pending = dict(items)
-    scenario_text = pending.pop("scenario", Scenario.CUSTOM.value)
-    scenario = _enum_parser(Scenario)("scenario", scenario_text)
+    scenario = parse_value("scenario", pending.pop("scenario", Scenario.CUSTOM.value))
 
-    values = dict(_BASE_VALUES)
+    values = dict(_DEFAULTS, scenario=scenario)
     pins = SCENARIO_PINS.get(scenario, {})
     values.update(pins)
     if scenario in SCENARIO_DEFAULT_RUNS:
         values["runs"] = SCENARIO_DEFAULT_RUNS[scenario]
 
     for key, raw in pending.items():
-        parser = _KEY_PARSERS.get(key)
-        if parser is None:
-            raise ConfigError(f"unknown key: {key}")
-        parsed = parser(key, str(raw).strip())
+        parsed = parse_value(key, raw)
         if key in pins and parsed != pins[key]:
             raise ConfigError(
                 f"{key} is fixed to {_fmt(pins[key])} by scenario "
@@ -349,41 +383,23 @@ def config_from_items(items: dict) -> ExperimentConfig:
             )
         values[key] = parsed
 
+    sections = {section: {} for section in _SECTIONS}
+    for row in CONFIG_KEYS:
+        section, _, name = row.path.rpartition(".")
+        sections[section][name] = values[row.key]
     try:
-        spiral = SpiralParams(values["spiral.a"], values["spiral.alpha"])
+        spiral = SpiralParams(**sections["spiral"])
     except ValueError as e:
         raise ConfigError(f"spiral.a/spiral.alpha: {e}") from e
-    evolution = EvolutionConfig(
-        pop_size=values["evolution.pop_size"],
-        offspring_size=values["evolution.offspring_size"],
-        k=values["evolution.k"],
-        sigma=values["evolution.sigma"],
-        g_max=values["evolution.g_max"],
-        metric=values["evolution.metric"],
-        genotype_space=values["evolution.genotype_space"],
-        init_t0=values["evolution.init_t0"],
-    )
     try:
-        sampling = SamplingStrategy(
-            mode=values["sampling.mode"],
-            archive_fraction=values["sampling.archive_fraction"],
-            tau=values["sampling.tau"],
-        )
+        sampling = SamplingStrategy(**sections["sampling"])
     except ValueError as e:
         raise ConfigError(f"sampling: {e}") from e
     config = ExperimentConfig(
-        scenario=scenario,
+        **sections[""],
         spiral=spiral,
-        evolution=evolution,
-        archive_kind=values["archive.kind"],
-        archive_max_size=values["archive.max_size"],
-        additions_per_generation=values["archive.additions_per_generation"],
-        grid_resolution=values["archive.resolution"],
-        grid_epsilon=values["archive.epsilon"],
+        evolution=EvolutionConfig(**sections["evolution"]),
         sampling=sampling,
-        runs=values["runs"],
-        base_seed=values["base_seed"],
-        output_dir=values["output_dir"],
     )
     config.validate()
     return config
@@ -429,33 +445,7 @@ def _fmt(value) -> str:
 
 def effective_config_items(config: ExperimentConfig) -> list:
     """Every effective setting as (key, string) pairs, defaults included."""
-    return [
-        ("scenario", config.scenario.value),
-        ("runs", _fmt(config.runs)),
-        ("base_seed", _fmt(config.base_seed)),
-        ("output_dir", config.output_dir),
-        ("spiral.a", _fmt(config.spiral.a)),
-        ("spiral.alpha", _fmt(config.spiral.alpha)),
-        ("evolution.pop_size", _fmt(config.evolution.pop_size)),
-        ("evolution.offspring_size", _fmt(config.evolution.offspring_size)),
-        ("evolution.k", _fmt(config.evolution.k)),
-        ("evolution.sigma", _fmt(config.evolution.sigma)),
-        ("evolution.g_max", _fmt(config.evolution.g_max)),
-        ("evolution.metric", _fmt(config.evolution.metric)),
-        ("evolution.genotype_space", _fmt(config.evolution.genotype_space)),
-        ("evolution.init_t0", _fmt(config.evolution.init_t0)),
-        ("archive.kind", _fmt(config.archive_kind)),
-        ("archive.max_size", _fmt(config.archive_max_size)),
-        (
-            "archive.additions_per_generation",
-            _fmt(config.additions_per_generation),
-        ),
-        ("archive.resolution", _fmt(config.grid_resolution)),
-        ("archive.epsilon", _fmt(config.grid_epsilon)),
-        ("sampling.mode", _fmt(config.sampling.mode)),
-        ("sampling.archive_fraction", _fmt(config.sampling.archive_fraction)),
-        ("sampling.tau", _fmt(config.sampling.tau)),
-    ]
+    return [(row.key, _fmt(attrgetter(row.path)(config))) for row in CONFIG_KEYS]
 
 
 def evaluation_count(config: ExperimentConfig) -> int:
@@ -593,6 +583,16 @@ TELEMETRY_COLUMNS = [
 
 LINEAGE_COLUMNS = ["generation", "child_id", "parent_id", "child_t", "parent_t"]
 
+FIT_COLUMNS = [
+    "fit_amplitude",
+    "fit_decay",
+    "fit_frequency",
+    "fit_phase",
+    "fit_offset",
+    "fit_residual",
+    "phase_count",
+]
+
 SUMMARY_COLUMNS = [
     "run",
     "seed",
@@ -602,13 +602,7 @@ SUMMARY_COLUMNS = [
     "coverage_min",
     "coverage_max",
     "success_rate",
-    "fit_amplitude",
-    "fit_decay",
-    "fit_frequency",
-    "fit_phase",
-    "fit_offset",
-    "fit_residual",
-    "phase_count",
+    *FIT_COLUMNS,
 ]
 
 
@@ -626,14 +620,6 @@ def _write_csv(path, header_lines, columns, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_run_telemetry(config: ExperimentConfig, tel: RunTelemetry, path: str):
@@ -661,9 +647,18 @@ def write_run_lineage(config: ExperimentConfig, tel: RunTelemetry, path: str):
     _write_csv(path, _header_lines(config, extra), LINEAGE_COLUMNS, rows)
 
 
+def fit_cells(H) -> list:
+    """The oscillator fit and phase count of a median-delta history as seven
+    cells (FIT_COLUMNS), all empty below MIN_FIT_SAMPLES generations."""
+    if len(H) < MIN_FIT_SAMPLES:
+        return [""] * len(FIT_COLUMNS)
+    fit = fit_damped_oscillator(H)
+    params = (fit.amplitude, fit.decay, fit.frequency, fit.phase, fit.offset, fit.residual)
+    return [*map(repr, params), str(len(segment_phases(H, PHASE_WINDOW)))]
+
+
 def summary_rows(batch: BatchResult) -> list:
     """Per-run rows plus one aggregate row, as string cells."""
-    g_max = batch.config.evolution.g_max
     rows = []
     coverages = []
     successes = 0
@@ -672,20 +667,6 @@ def summary_rows(batch: BatchResult) -> list:
         coverages.append(final)
         success = final >= FULL_COVERAGE_THRESHOLD
         successes += int(success)
-        fit_cells = [None] * 6
-        phase_count = None
-        if g_max >= MIN_FIT_SAMPLES:
-            H = tel.median_delta_history()
-            fit = fit_damped_oscillator(H)
-            fit_cells = [
-                fit.amplitude,
-                fit.decay,
-                fit.frequency,
-                fit.phase,
-                fit.offset,
-                fit.residual,
-            ]
-            phase_count = len(segment_phases(H, PHASE_WINDOW))
         rows.append(
             [
                 str(tel.run_index),
@@ -696,8 +677,7 @@ def summary_rows(batch: BatchResult) -> list:
                 "",
                 "",
                 "",
-                *[_cell(c) for c in fit_cells],
-                _cell(phase_count),
+                *fit_cells(tel.median_delta_history()),
             ]
         )
     n = len(coverages)
@@ -711,13 +691,7 @@ def summary_rows(batch: BatchResult) -> list:
             repr(min(coverages)),
             repr(max(coverages)),
             repr(successes / n),
-            "",
-            "",
-            "",
-            "",
-            "",
-            "",
-            "",
+            *[""] * len(FIT_COLUMNS),
         ]
     )
     return rows
@@ -738,22 +712,14 @@ def run_batch(config: ExperimentConfig) -> BatchResult:
     if not os.access(config.output_dir, os.W_OK):
         raise OSError(f"output directory {config.output_dir!r} is not writable")
 
-    telemetries = []
-    acc = CoverageAccumulator(config.spiral, COVERAGE_BINS)
-    all_ts = []
-    for i in range(config.runs):
-        tel = run_single(config, i)
-        telemetries.append(tel)
-        acc.add_parameters(tel.evaluated_ts)
-        all_ts.append(tel.evaluated_ts)
-        stem = os.path.join(config.output_dir, f"run_{i:03d}")
+    batch = execute_batch(config)
+    for tel in batch.telemetries:
+        stem = os.path.join(config.output_dir, f"run_{tel.run_index:03d}")
         write_run_telemetry(config, tel, stem + "_telemetry.csv")
         write_run_lineage(config, tel, stem + "_lineage.csv")
-
-    batch = BatchResult(config, telemetries, acc.report())
     emit_summary(batch, os.path.join(config.output_dir, "summary.csv"))
     emit_svg(
-        np.concatenate(all_ts),
+        np.concatenate([tel.evaluated_ts for tel in batch.telemetries]),
         config.spiral,
         config.evolution.init_t0,
         os.path.join(config.output_dir, "cumulative.svg"),

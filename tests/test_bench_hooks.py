@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from spiralns import cli
+from spiralns.analysis import MIN_FIT_SAMPLES
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 SEED = 7
@@ -32,6 +33,12 @@ LAYERS = (
     "experiments.write_telemetry",
     "experiments.write_lineage",
     "svgplot.render_svg",
+    "analysis.coverage",
+    "analysis.fit_damped_oscillator",
+    "analysis.segment_phases",
+    "experiments.emit_summary",
+    "experiments.read_telemetry",
+    "experiments.read_lineage",
 )
 
 
@@ -62,17 +69,27 @@ def test_traced_batches_then_replay(bench):
             "guided", "Custom", 5, "euclidean", "angle", "grid", "mixed_guided",
             replay_generations=(1, 3, 5),
         ),
+        # Long enough for summary.csv and analyze to fit its history.
+        workloads.Batch(
+            "fitted", "Custom", MIN_FIT_SAMPLES, "euclidean", "angle", "none",
+            replay_generations=(1, MIN_FIT_SAMPLES),
+        ),
     ]
+    fitted = batches[-1]
     tracer = layers.Tracer()
     layers.install(tracer)
     try:
         for batch in batches:
             assert cli.main(batch.batch_argv(SEED)) == 0
+        assert cli.main(fitted.analyze_argv()) == 0
+        assert cli.main(fitted.plot_argv()) == 0
     finally:
         tracer.restore()
 
     for name in LAYERS:
         assert tracer.calls[name] > 0, name
+    # One fit for the run's summary row, one for its analyze row.
+    assert tracer.calls["analysis.fit_damped_oscillator"] == 2
     metrics = layers.layer_metrics(tracer, rounds=1)
     assert metrics["archives.final_size"] > 0
 

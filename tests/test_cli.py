@@ -66,6 +66,25 @@ class TestRun:
         assert code == 2
         assert "runs" in stderr
 
+    def test_runs_given_as_01_is_one_run(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code, stdout, _ = run_cli(["run", *FAST, "--runs", "01", "--out", str(out)], capsys)
+        assert code == 0
+        assert "# runs = 1" in stdout
+        assert (out / "run_000_telemetry.csv").exists()
+        assert not (out / "run_001_telemetry.csv").exists()
+
+    def test_arc_length_spiral_too_large_to_invert_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "big"
+        code, _, stderr = run_cli(
+            ["run", *FAST, "--spiral-a", "1e6", "--genotype-space", "arc_length",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stderr.startswith("error: spiral.a/spiral.alpha")
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
@@ -197,4 +216,18 @@ class TestPlot:
         )
         assert code == 2
         assert stderr == f"error: {bare}: missing header key evolution.pop_size\n"
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_bad_header_value_names_file_and_key(self, batch_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_lineage.csv"
+        text = (batch_dir / "run_000_lineage.csv").read_text()
+        assert "# evolution.pop_size = 30\n" in text
+        bad.write_text(text.replace("pop_size = 30\n", "pop_size = thirty\n"))
+        code, _, stderr = run_cli(
+            ["plot", str(bad), "--out", str(tmp_path / "p.svg")], capsys
+        )
+        assert code == 2
+        assert stderr == (
+            f"error: {bad}: evolution.pop_size: expected an integer, got 'thirty'\n"
+        )
         assert not (tmp_path / "p.svg").exists()

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spiralns import (
     ArchiveKind,
@@ -23,8 +25,12 @@ from spiralns import (
     run_batch,
     run_single,
 )
+from spiralns.cli import _collect_items, build_parser
 from spiralns.experiments import (
+    CONFIG_KEYS,
+    SCENARIO_PINS,
     SUMMARY_COLUMNS,
+    config_from_items,
     read_lineage,
     read_telemetry,
     summary_rows,
@@ -136,9 +142,64 @@ class TestParseConfig:
     def test_echo_covers_every_config_key(self):
         cfg = parse_config("scenario = Fig2d\n")
         keys = {k for k, _ in effective_config_items(cfg)}
-        from spiralns.experiments import _KEY_PARSERS
+        assert keys == {row.key for row in CONFIG_KEYS}
 
-        assert keys == set(_KEY_PARSERS) | {"scenario"}
+
+@st.composite
+def valid_items(draw) -> dict:
+    """{key: text} of a valid config: a scenario plus any keys it leaves open."""
+    scenario = draw(st.sampled_from(list(Scenario)))
+    pins = SCENARIO_PINS.get(scenario, {})
+    a = pins.get("spiral.a", draw(st.floats(1e-3, 10.0)))
+    alpha = pins.get("spiral.alpha", draw(st.floats(1.0, 100.0)))
+    kind = pins.get("archive.kind", draw(st.sampled_from(list(ArchiveKind))))
+    modes = [SamplingMode.POPULATION_ONLY]
+    if kind is not ArchiveKind.NONE:
+        modes.append(SamplingMode.MIXED_RANDOM)
+    if kind is ArchiveKind.GRID:
+        modes.append(SamplingMode.MIXED_GUIDED)
+    max_size = draw(st.integers(1, 500)) if kind is ArchiveKind.UNSTRUCTURED_BOUNDED else None
+    items = {
+        "scenario": scenario.value,
+        "runs": str(draw(st.integers(1, 50))),
+        "base_seed": str(draw(st.integers(-1000, 10**9))),
+        "output_dir": draw(st.from_regex(r"[A-Za-z0-9_.][A-Za-z0-9_./-]{0,15}", fullmatch=True)),
+        "spiral.a": repr(a),
+        "spiral.alpha": repr(alpha),
+        "evolution.pop_size": str(draw(st.integers(1, 50))),
+        "evolution.offspring_size": str(draw(st.integers(1, 50))),
+        "evolution.k": str(draw(st.integers(1, 20))),
+        "evolution.sigma": repr(draw(st.floats(1e-3, 5.0))),
+        "evolution.g_max": str(draw(st.integers(1, 2000))),
+        "evolution.metric": draw(st.sampled_from(list(Metric))).value,
+        "evolution.genotype_space": draw(st.sampled_from(list(GenotypeSpace))).value,
+        "evolution.init_t0": repr(draw(st.floats(0.0, 1.0)) * SpiralParams(a, alpha).t_max),
+        "archive.kind": kind.value,
+        "archive.max_size": "none" if max_size is None else str(max_size),
+        "archive.additions_per_generation": str(draw(st.integers(1, 10))),
+        "archive.resolution": str(draw(st.integers(1, 200))),
+        "archive.epsilon": repr(draw(st.floats(0.0, 0.99))),
+        "sampling.mode": draw(st.sampled_from(modes)).value,
+        "sampling.archive_fraction": repr(draw(st.floats(0.0, 1.0))),
+        "sampling.tau": repr(draw(st.floats(0.0, 1.0))),
+    }
+    return {key: text for key, text in items.items() if key not in pins}
+
+
+class TestConfigRoundTrip:
+    """effective_config_items names every setting, as text and as CLI flags."""
+
+    @given(valid_items())
+    def test_items_rebuild_the_config(self, items):
+        cfg = config_from_items(items)
+        assert config_from_items(dict(effective_config_items(cfg))) == cfg
+
+    @given(valid_items())
+    def test_flags_rebuild_the_config(self, items):
+        cfg = config_from_items(items)
+        flags = {row.key: row.flag for row in CONFIG_KEYS}
+        argv = ["batch", *(f"{flags[k]}={v}" for k, v in effective_config_items(cfg))]
+        assert config_from_items(_collect_items(build_parser().parse_args(argv))) == cfg
 
 
 class TestRunSingle:

@@ -71,17 +71,25 @@ def artifact_digests(name: str) -> dict:
     return digests
 
 
-# The panel `spiralns plot` renders from three copies of the Fig2b batch's
-# lineage: 27,180 behaviors, more than the renderer's dot cap, so the dots
-# are strided.
+# Files the reading subcommands write over a golden batch: the panel
+# `spiralns plot` renders from three copies of the Fig2b batch's lineage
+# (27,180 behaviors, more than the renderer's dot cap, so the dots are
+# strided), and the fit table `spiralns analyze` writes from the Fig3a
+# batch's telemetry.
 PANEL = "plot_panel"
+ANALYSIS = "analysis_table"
+DERIVED = {
+    PANEL: ("Fig2b", ["plot", "out", "out", "out", "--out", "panel.svg"], "panel.svg"),
+    ANALYSIS: ("Fig3a", ["analyze", "out", "--out", "analysis.csv"], "analysis.csv"),
+}
 
 
-def panel_digest() -> dict:
-    artifact_digests("Fig2b")
-    assert main(["plot", "out", "out", "out", "--out", "panel.svg"]) == 0
-    with open("panel.svg", "rb") as fh:
-        return {"panel.svg": hashlib.sha256(fh.read()).hexdigest()}
+def derived_digest(name: str) -> dict:
+    scenario, argv, filename = DERIVED[name]
+    artifact_digests(scenario)
+    assert main(argv) == 0
+    with open(filename, "rb") as fh:
+        return {filename: hashlib.sha256(fh.read()).hexdigest()}
 
 
 def _pinned() -> dict:
@@ -97,11 +105,16 @@ def test_artifacts_match_pinned_digests(name, tmp_path, monkeypatch):
 
 def test_plot_panel_matches_pinned_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert panel_digest() == _pinned()[PANEL]
+    assert derived_digest(PANEL) == _pinned()[PANEL]
+
+
+def test_analysis_table_matches_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert derived_digest(ANALYSIS) == _pinned()[ANALYSIS]
 
 
 def test_every_config_is_pinned():
-    assert sorted(_pinned()) == sorted([*CONFIGS, PANEL])
+    assert sorted(_pinned()) == sorted([*CONFIGS, *DERIVED])
 
 
 if __name__ == "__main__":
@@ -113,9 +126,10 @@ if __name__ == "__main__":
             os.chdir(tmp)
             pinned[name] = artifact_digests(name)
         print(name, file=sys.stderr)
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        pinned[PANEL] = panel_digest()
+    for name in DERIVED:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            pinned[name] = derived_digest(name)
     with open(DIGESTS_PATH, "w") as fh:
         json.dump(pinned, fh, indent=1, sort_keys=True)
         fh.write("\n")

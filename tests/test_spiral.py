@@ -1,5 +1,6 @@
 """Geometry: closed-form arc length, inversion, metrics, genotype mapping."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 
 from spiralns import (
     BehaviorPoint,
+    EvolutionConfig,
     Genotype,
     GenotypeSpace,
     SpiralParams,
@@ -260,3 +262,63 @@ class TestVectorisedMapping:
     def test_empty_input(self):
         for space in GenotypeSpace:
             assert all(a.size == 0 for a in map_genotypes(np.array([]), space, PARAMS))
+
+
+# init_t0 = 0 lies on every spiral, so only the scale decides.
+ARC_CONFIG = EvolutionConfig(genotype_space=GenotypeSpace.ARC_LENGTH, init_t0=0.0)
+
+
+@functools.cache
+def largest_arc_length_scale(alpha: float) -> float:
+    """The largest spiral.a that the arc-length genotype space accepts."""
+
+    def accepted(a):
+        try:
+            ARC_CONFIG.validate(SpiralParams(a, alpha))
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 1e-6, 1e12
+    assert accepted(lo) and not accepted(hi)
+    while True:
+        mid = math.sqrt(lo * hi) if hi > 2 * lo else lo + (hi - lo) / 2
+        if not lo < mid < hi:
+            return lo
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+
+
+SCALE_ALPHAS = (1.0, 30.0, 1000.0)
+
+
+class TestLargestAcceptedScale:
+    """Arc-length inversion converges on every spiral the config accepts."""
+
+    @pytest.mark.parametrize("alpha", SCALE_ALPHAS)
+    def test_next_scale_up_is_rejected(self, alpha):
+        a = largest_arc_length_scale(alpha)
+        with pytest.raises(ValueError, match="spiral.a/spiral.alpha"):
+            ARC_CONFIG.validate(SpiralParams(math.nextafter(a, math.inf), alpha))
+        angle = EvolutionConfig(genotype_space=GenotypeSpace.ANGLE, init_t0=0.0)
+        angle.validate(SpiralParams(2 * a, alpha))
+
+    @pytest.mark.parametrize("alpha", SCALE_ALPHAS)
+    def test_uniform_arc_lengths_invert(self, alpha):
+        params = SpiralParams(largest_arc_length_scale(alpha), alpha)
+        s = np.random.default_rng(5).uniform(0.0, params.s_max, 100_000)
+        t, _ = invert_arc_lengths(s, params)
+        assert np.all((0.0 <= t) & (t <= params.t_max))
+
+    @settings(deadline=None)
+    @given(st.sampled_from(SCALE_ALPHAS), st.data())
+    def test_inversion_converges_and_equals_scalar(self, alpha, data):
+        params = SpiralParams(largest_arc_length_scale(alpha), alpha)
+        values = data.draw(
+            st.lists(
+                st.floats(0.0, params.s_max) | st.just(params.s_max),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        t, _ = invert_arc_lengths(np.array(values), params)
+        assert bits(t) == bits([invert_arc_length(s, params) for s in values])
