@@ -232,8 +232,9 @@ class GridArchive(_Archive):
         return to_records(self._rows.view())
 
     def _axis_index(self, v: float) -> int:
-        i = int(math.floor((v - self.lower) / self.cell_width))
-        return min(max(i, 0), self.resolution - 1)
+        # Clamp before flooring: far-off points divide to an infinite quotient.
+        q = (v - self.lower) / self.cell_width
+        return int(math.floor(min(max(q, 0.0), self.resolution - 1)))
 
     def cell_index(self, x: float, y: float) -> tuple[int, int]:
         """(row, col) of the cell containing the point; row indexes y, col x."""

@@ -104,9 +104,9 @@ def _cmd_analyze(args) -> int:
     paths = _expand_inputs(args.inputs, "_telemetry.csv")
     out_rows = []
     for path in paths:
-        _, rows = read_telemetry(path)
-        H = [row.median_delta for row in rows]
-        final_coverage = rows[-1].coverage_fraction if rows else 0.0
+        _, columns = read_telemetry(path)
+        H = columns["median_delta"].tolist()
+        final_coverage = columns["coverage_fraction"][-1].item() if len(columns) else 0.0
         out_rows.append([path, str(len(H)), repr(final_coverage), *fit_cells(H)])
         print(f"{path}: coverage {final_coverage!r}")
 
@@ -135,7 +135,7 @@ def _cmd_plot(args) -> int:
     ts_parts = []
     first = None
     for path in paths:
-        header, entries = read_lineage(path)
+        header, columns = read_lineage(path)
         pop_size, init_t0, a, alpha = [
             _header_value(path, header, key)
             for key in ("evolution.pop_size", "evolution.init_t0", "spiral.a", "spiral.alpha")
@@ -143,7 +143,7 @@ def _cmd_plot(args) -> int:
         if first is None:
             first = header, init_t0, SpiralParams(a, alpha)
         ts_parts.append(np.full(pop_size, init_t0))
-        ts_parts.append(np.array([e.child_t for e in entries]))
+        ts_parts.append(columns["child_t"])
     header, init_t0, params = first
     emit_svg(np.concatenate(ts_parts), params, init_t0, args.out, list(header.items()))
     print(f"wrote {args.out}")

@@ -12,6 +12,7 @@ config.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -40,7 +41,6 @@ from .archives import (
 )
 from .evolution import (
     EvolutionConfig,
-    LineageEntry,
     Metric,
     init_population,
     step_generation,
@@ -142,6 +142,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "archive.max_size only applies when archive.kind = unstructured_bounded"
             )
+        if self.grid_resolution < 1:
+            raise ConfigError(f"archive.resolution must be >= 1, got {self.grid_resolution}")
+        if not 0.0 <= self.grid_epsilon < 1.0:
+            raise ConfigError(f"archive.epsilon must be in [0, 1), got {self.grid_epsilon!r}")
         if (
             self.sampling.mode is not SamplingMode.POPULATION_ONLY
             and self.archive_kind is ArchiveKind.NONE
@@ -194,6 +198,11 @@ def _enum_parser(enum_cls):
     return parse
 
 
+def _one_of(enum_cls) -> str:
+    *rest, last = [member.value for member in enum_cls]
+    return f"{', '.join(rest)} or {last}"
+
+
 def _parse_optional_int(key, text):
     if text.strip().lower() == "none":
         return None
@@ -216,8 +225,7 @@ class ConfigKey(NamedTuple):
 
 # Every config key, in the order headers and echoes list them.
 CONFIG_KEYS = (
-    ConfigKey("scenario", _enum_parser(Scenario), "scenario", "--scenario",
-              "named scenario or Custom"),
+    ConfigKey("scenario", _enum_parser(Scenario), "scenario", "--scenario", _one_of(Scenario)),
     ConfigKey("runs", _parse_int, "runs", "--runs", "number of seeded runs in the batch"),
     ConfigKey("base_seed", _parse_int, "base_seed", "--seed", "base seed; run i uses seed + i"),
     ConfigKey("output_dir", _parse_str, "output_dir", "--out", "output directory"),
@@ -233,13 +241,13 @@ CONFIG_KEYS = (
     ConfigKey("evolution.g_max", _parse_int, "evolution.g_max", "--g-max",
               "generations per run"),
     ConfigKey("evolution.metric", _enum_parser(Metric), "evolution.metric", "--metric",
-              "euclidean or geodesic"),
+              _one_of(Metric)),
     ConfigKey("evolution.genotype_space", _enum_parser(GenotypeSpace),
-              "evolution.genotype_space", "--genotype-space", "angle or arc_length"),
+              "evolution.genotype_space", "--genotype-space", _one_of(GenotypeSpace)),
     ConfigKey("evolution.init_t0", _parse_float, "evolution.init_t0", "--init-t0",
               "initial curve parameter"),
     ConfigKey("archive.kind", _enum_parser(ArchiveKind), "archive_kind", "--archive-kind",
-              "none, unstructured_unbounded, unstructured_bounded or grid"),
+              _one_of(ArchiveKind)),
     ConfigKey("archive.max_size", _parse_optional_int, "archive_max_size",
               "--archive-max-size", "bound for a bounded archive"),
     ConfigKey("archive.additions_per_generation", _parse_int, "additions_per_generation",
@@ -249,7 +257,7 @@ CONFIG_KEYS = (
     ConfigKey("archive.epsilon", _parse_float, "grid_epsilon", "--grid-epsilon",
               "grid replacement probability"),
     ConfigKey("sampling.mode", _enum_parser(SamplingMode), "sampling.mode", "--sampling-mode",
-              "population_only, mixed_random or mixed_guided"),
+              _one_of(SamplingMode)),
     ConfigKey("sampling.archive_fraction", _parse_float, "sampling.archive_fraction",
               "--archive-fraction", "parent slots drawn from archive"),
     ConfigKey("sampling.tau", _parse_float, "sampling.tau", "--tau",
@@ -622,29 +630,16 @@ def _write_csv(path, header_lines, columns, rows):
         writer.writerows(rows)
 
 
+# The csv module writes ints with str and floats with repr, so records of
+# Python ints and floats go to _write_csv as they are.
 def write_run_telemetry(config: ExperimentConfig, tel: RunTelemetry, path: str):
     extra = [("run_index", str(tel.run_index)), ("seed", str(tel.seed))]
-    rows = [
-        [
-            row.generation,
-            repr(row.coverage_fraction),
-            repr(row.median_delta),
-            row.archive_size,
-            row.grid_occupied,
-            repr(row.max_novelty),
-        ]
-        for row in tel.gen_rows
-    ]
-    _write_csv(path, _header_lines(config, extra), TELEMETRY_COLUMNS, rows)
+    _write_csv(path, _header_lines(config, extra), TELEMETRY_COLUMNS, tel.gen_rows)
 
 
 def write_run_lineage(config: ExperimentConfig, tel: RunTelemetry, path: str):
     extra = [("run_index", str(tel.run_index)), ("seed", str(tel.seed))]
-    rows = [
-        [e.generation, e.child_id, e.parent_id, repr(e.child_t), repr(e.parent_t)]
-        for e in tel.lineage
-    ]
-    _write_csv(path, _header_lines(config, extra), LINEAGE_COLUMNS, rows)
+    _write_csv(path, _header_lines(config, extra), LINEAGE_COLUMNS, tel.lineage)
 
 
 def fit_cells(H) -> list:
@@ -732,46 +727,44 @@ def run_batch(config: ExperimentConfig) -> BatchResult:
 # Readers for the analyze/plot subcommands.
 
 
-def _read_csv(path):
+# Columns read back as int64; every other column is float64.
+_INT_COLUMNS = {"generation", "child_id", "parent_id", "archive_size", "grid_occupied"}
+
+
+def _read_columns(path, names, kind):
+    """Header dict plus the body as a structured array, one field per column.
+
+    The leading `# key = value` lines form the header, the next line must
+    name the columns, and the rest is parsed in one np.loadtxt call.
+    """
     header = {}
     with open(path, newline="") as fh:
-        lines = fh.readlines()
-    data_lines = []
-    for line in lines:
-        if line.startswith("#"):
-            body = line[1:].strip()
-            key, sep, value = body.partition(" = ")
+        line = fh.readline()
+        while line.startswith("#"):
+            key, sep, value = line[1:].strip().partition(" = ")
             if sep:
                 header[key.strip()] = value.strip()
-        else:
-            data_lines.append(line)
-    parsed = list(csv.reader(data_lines))
-    if not parsed:
+            line = fh.readline()
+        body = fh.read()
+    if not line:
         raise ValueError(f"{path}: no CSV rows found")
-    return header, parsed[0], parsed[1:]
+    columns = next(csv.reader([line]))
+    if columns != names:
+        raise ValueError(f"{path}: not a {kind} file (columns {columns})")
+    dtype = [(name, np.int64 if name in _INT_COLUMNS else np.float64) for name in names]
+    if not body.strip():  # np.loadtxt warns on an empty body
+        return header, np.empty(0, dtype)
+    try:
+        return header, np.loadtxt(io.StringIO(body), dtype, delimiter=",", ndmin=1)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def read_telemetry(path):
-    """Header dict plus GenerationRow list from a telemetry CSV."""
-    header, columns, raw = _read_csv(path)
-    if columns != TELEMETRY_COLUMNS:
-        raise ValueError(f"{path}: not a telemetry file (columns {columns})")
-    rows = [
-        GenerationRow(
-            int(r[0]), float(r[1]), float(r[2]), int(r[3]), int(r[4]), float(r[5])
-        )
-        for r in raw
-    ]
-    return header, rows
+    """Header dict plus the TELEMETRY_COLUMNS of a telemetry CSV as a structured array."""
+    return _read_columns(path, TELEMETRY_COLUMNS, "telemetry")
 
 
 def read_lineage(path):
-    """Header dict plus LineageEntry list from a lineage CSV."""
-    header, columns, raw = _read_csv(path)
-    if columns != LINEAGE_COLUMNS:
-        raise ValueError(f"{path}: not a lineage file (columns {columns})")
-    entries = [
-        LineageEntry(int(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4]))
-        for r in raw
-    ]
-    return header, entries
+    """Header dict plus the LINEAGE_COLUMNS of a lineage CSV as a structured array."""
+    return _read_columns(path, LINEAGE_COLUMNS, "lineage")

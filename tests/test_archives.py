@@ -1,9 +1,12 @@
 """Archive variants, parent sampling, and discovery-score updates."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from spiralns import (
@@ -26,6 +29,22 @@ from spiralns.evolution import Individual
 from spiralns.spiral import BehaviorPoint, arc_length_from_origin
 
 PARAMS = SpiralParams()
+
+_E = PARAMS.extent
+_COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2 * _E, 2 * _E),
+    st.sampled_from([-_E, _E, math.nextafter(-_E, -math.inf), math.nextafter(_E, math.inf), -0.0]),
+    st.sampled_from([-sys.float_info.max, sys.float_info.max]),
+)
+
+
+def _on_curve(t: float) -> tuple:
+    p = spiral_point(t, PARAMS)
+    return p.x, p.y
+
+
+_POINTS = st.one_of(st.tuples(_COORDS, _COORDS), st.floats(0.0, PARAMS.t_max).map(_on_curve))
 
 
 def ind(t: float, ident: int, eta: float = 0.0, parent_id=None) -> Individual:
@@ -128,6 +147,18 @@ class TestGridArchive:
         e = PARAMS.extent
         assert arch.cell_index(e, e) == (49, 49)
         assert arch.cell_index(-e, -e) == (0, 0)
+
+    @given(st.integers(1, 200), _POINTS)
+    def test_cell_index_in_bounds_for_any_finite_point(self, resolution, point):
+        arch = GridArchive(params=PARAMS, resolution=resolution)
+        x, y = point
+        index = arch.cell_index(x, y)
+        assert all(0 <= i < resolution for i in index)
+        # Where the quotient is finite, the index is the clamped floor of it.
+        for i, v in zip(index, (y, x)):
+            q = (v - arch.lower) / arch.cell_width
+            if math.isfinite(q):
+                assert i == min(max(math.floor(q), 0), resolution - 1)
 
     def test_row_is_y_and_col_is_x(self):
         arch = GridArchive(params=PARAMS, resolution=50)

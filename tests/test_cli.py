@@ -154,12 +154,37 @@ class TestBatch:
         assert "evolution.metric" in stderr
 
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--archive-kind", "grid", "--grid-resolution", "0"], "archive.resolution"),
+            (["--grid-resolution", "0"], "archive.resolution"),
+            (["--archive-kind", "grid", "--grid-epsilon", "1"], "archive.epsilon"),
+            (["--grid-epsilon", "-0.5"], "archive.epsilon"),
+        ],
+    )
+    def test_bad_grid_setting_exits_2_before_writing(self, flags, key, tmp_path, capsys):
+        out = tmp_path / "D"
+        code, stdout, stderr = run_cli(["batch", *FAST, *flags, "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {key} ")
+        assert stdout == ""
+        assert not out.exists()
+
+
 @pytest.fixture
 def batch_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "batch"
     assert main(["batch", *FAST, "--g-max", "25", "--runs", "2",
                  "--out", str(out)]) == 0
     return out
+
+
+def corrupt_last_cell(src, dst):
+    """Copy a CSV with 'x' in place of the last cell of its last row."""
+    lines = src.read_text().splitlines(keepends=True)
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",x\n"
+    dst.write_text("".join(lines))
 
 
 class TestAnalyze:
@@ -190,6 +215,16 @@ class TestAnalyze:
         assert code == 2
         assert "telemetry" in stderr
 
+    def test_malformed_cell_names_the_file(self, batch_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_telemetry.csv"
+        corrupt_last_cell(batch_dir / "run_000_telemetry.csv", bad)
+        out = tmp_path / "a.csv"
+        code, _, stderr = run_cli(["analyze", str(bad), "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {bad}: ")
+        assert "'x'" in stderr and "column 6" in stderr
+        assert not out.exists()
+
 
 class TestPlot:
     def test_directory_input(self, batch_dir, tmp_path, capsys):
@@ -216,6 +251,15 @@ class TestPlot:
         )
         assert code == 2
         assert stderr == f"error: {bare}: missing header key evolution.pop_size\n"
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_malformed_cell_names_the_file(self, batch_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_lineage.csv"
+        corrupt_last_cell(batch_dir / "run_000_lineage.csv", bad)
+        code, _, stderr = run_cli(["plot", str(bad), "--out", str(tmp_path / "p.svg")], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {bad}: ")
+        assert "'x'" in stderr
         assert not (tmp_path / "p.svg").exists()
 
     def test_bad_header_value_names_file_and_key(self, batch_dir, tmp_path, capsys):

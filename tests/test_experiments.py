@@ -2,10 +2,12 @@
 
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiralns import (
@@ -28,8 +30,10 @@ from spiralns import (
 from spiralns.cli import _collect_items, build_parser
 from spiralns.experiments import (
     CONFIG_KEYS,
+    LINEAGE_COLUMNS,
     SCENARIO_PINS,
     SUMMARY_COLUMNS,
+    TELEMETRY_COLUMNS,
     config_from_items,
     read_lineage,
     read_telemetry,
@@ -42,6 +46,16 @@ from spiralns.svgplot import emit_svg
 PARAMS = SpiralParams()
 
 SMALL = "scenario = Custom\nevolution.g_max = 10\nruns = 2\n"
+
+
+def assert_same_bits(column, values):
+    """A column read back holds the written values bit for bit (NaN as NaN)."""
+    expected = np.array(values, dtype=column.dtype)
+    if column.dtype.kind == "f":
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(column), nan)
+        column, expected = column[~nan], expected[~nan]
+    assert column.tobytes() == expected.tobytes()
 
 
 class TestParseConfig:
@@ -186,6 +200,38 @@ def valid_items(draw) -> dict:
     return {key: text for key, text in items.items() if key not in pins}
 
 
+def test_enum_key_help_names_exactly_the_enum_values():
+    checked = []
+    for row in CONFIG_KEYS:
+        try:
+            row.parse(row.key, "?")
+        except ConfigError as e:
+            match = re.search(r"expected one of \{(.*)\}", str(e))
+        else:
+            match = None
+        if match:
+            checked.append(row.key)
+            assert set(re.split(r", | or ", row.help)) == set(match.group(1).split(", "))
+    assert checked == [
+        "scenario", "evolution.metric", "evolution.genotype_space", "archive.kind",
+        "sampling.mode",
+    ]
+
+
+@pytest.mark.parametrize(
+    "items, key",
+    [
+        ({"archive.kind": "grid", "archive.resolution": "0"}, "archive.resolution"),
+        ({"archive.resolution": "-3"}, "archive.resolution"),
+        ({"archive.kind": "grid", "archive.epsilon": "1.0"}, "archive.epsilon"),
+        ({"archive.epsilon": "-0.1"}, "archive.epsilon"),
+    ],
+)
+def test_grid_settings_checked_for_every_archive_kind(items, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} "):
+        config_from_items(items)
+
+
 class TestConfigRoundTrip:
     """effective_config_items names every setting, as text and as CLI flags."""
 
@@ -304,16 +350,20 @@ class TestBatchArtifacts:
         tel = run_single(cfg, 0)
         path = tmp_path / "t.csv"
         write_run_telemetry(cfg, tel, path)
-        _, rows = read_telemetry(path)
-        assert rows == tel.gen_rows
+        _, columns = read_telemetry(path)
+        assert list(columns.dtype.names) == TELEMETRY_COLUMNS
+        for name, values in zip(TELEMETRY_COLUMNS, zip(*tel.gen_rows)):
+            assert_same_bits(columns[name], values)
 
     def test_lineage_round_trip(self, tmp_path):
         cfg = parse_config(SMALL)
         tel = run_single(cfg, 0)
         path = tmp_path / "l.csv"
         write_run_lineage(cfg, tel, path)
-        _, entries = read_lineage(path)
-        assert entries == tel.lineage
+        _, columns = read_lineage(path)
+        assert list(columns.dtype.names) == LINEAGE_COLUMNS
+        for name, values in zip(LINEAGE_COLUMNS, zip(*tel.lineage)):
+            assert_same_bits(columns[name], values)
 
     def test_reader_rejects_wrong_file_kind(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -322,6 +372,45 @@ class TestBatchArtifacts:
         write_run_telemetry(cfg, tel, path)
         with pytest.raises(ValueError):
             read_lineage(path)
+
+    @pytest.mark.parametrize(
+        "reader, names", [(read_lineage, LINEAGE_COLUMNS), (read_telemetry, TELEMETRY_COLUMNS)]
+    )
+    def test_header_only_file_reads_zero_rows_without_warning(self, tmp_path, reader, names):
+        path = tmp_path / "h.csv"
+        path.write_text("# spiralns 0.1.0\n# seed = 3\n" + ",".join(names) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header, columns = reader(path)
+        assert header == {"seed": "3"}
+        assert len(columns) == 0
+        assert list(columns.dtype.names) == names
+
+
+def _reread(tmp_dir, reader, names, row):
+    path = tmp_dir / "row.csv"
+    path.write_text("# spiralns 0.1.0\n" + ",".join(names) + "\n" + row + "\n")
+    return reader(path)[1]
+
+
+class TestReaderFloatRoundTrip:
+    """repr(x) written into a CSV body reads back as the same double."""
+
+    @settings(deadline=None)
+    @given(st.floats(allow_nan=False))
+    def test_lineage(self, tmp_path_factory, x):
+        row = f"1,2,3,{x!r},{x!r}"
+        columns = _reread(tmp_path_factory.mktemp("l"), read_lineage, LINEAGE_COLUMNS, row)
+        assert_same_bits(columns["child_t"], [x])
+        assert_same_bits(columns["parent_t"], [x])
+
+    @settings(deadline=None)
+    @given(st.floats())
+    def test_telemetry(self, tmp_path_factory, x):
+        row = f"1,{x!r},{x!r},0,0,{x!r}"
+        columns = _reread(tmp_path_factory.mktemp("t"), read_telemetry, TELEMETRY_COLUMNS, row)
+        for name in ("coverage_fraction", "median_delta", "max_novelty"):
+            assert_same_bits(columns[name], [x])
 
 
 class TestSummary:

@@ -74,12 +74,15 @@ def artifact_digests(name: str) -> dict:
 # Files the reading subcommands write over a golden batch: the panel
 # `spiralns plot` renders from three copies of the Fig2b batch's lineage
 # (27,180 behaviors, more than the renderer's dot cap, so the dots are
-# strided), and the fit table `spiralns analyze` writes from the Fig3a
-# batch's telemetry.
+# strided), the panel it renders from the Fig3l batch's lineage (grid
+# archive, guided resampling), and the fit table `spiralns analyze` writes
+# from the Fig3a batch's telemetry.
 PANEL = "plot_panel"
+GRID_PANEL = "plot_panel_grid_guided"
 ANALYSIS = "analysis_table"
 DERIVED = {
     PANEL: ("Fig2b", ["plot", "out", "out", "out", "--out", "panel.svg"], "panel.svg"),
+    GRID_PANEL: ("Fig3l", ["plot", "out", "--out", "panel.svg"], "panel.svg"),
     ANALYSIS: ("Fig3a", ["analyze", "out", "--out", "analysis.csv"], "analysis.csv"),
 }
 
@@ -106,6 +109,11 @@ def test_artifacts_match_pinned_digests(name, tmp_path, monkeypatch):
 def test_plot_panel_matches_pinned_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert derived_digest(PANEL) == _pinned()[PANEL]
+
+
+def test_grid_guided_plot_panel_matches_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert derived_digest(GRID_PANEL) == _pinned()[GRID_PANEL]
 
 
 def test_analysis_table_matches_pinned_digest(tmp_path, monkeypatch):
