@@ -5,7 +5,7 @@
 # progress; the full-scale sweep needs roughly half of the evaluation
 # history retained before full coverage becomes reliable.
 
-from spiralns import execute_batch, parse_config
+from spiralns import execute_batch, final_coverage, parse_config
 
 SCENARIOS = [
     ("Fig3e", 50),
@@ -19,7 +19,7 @@ print()
 print(f"  {'A_max':>6}  {'median coverage':>16}  {'successes':>9}")
 for scenario, a_max in SCENARIOS:
     batch = execute_batch(parse_config(f"scenario = {scenario}\nruns = 5\n"))
-    coverages = sorted(t.final_coverage for t in batch.telemetries)
+    coverages = sorted(final_coverage(t.telemetry) for t in batch.telemetries)
     median = coverages[len(coverages) // 2]
     wins = sum(c >= 0.95 for c in coverages)
     print(f"  {a_max:>6}  {median:>16.2f}  {wins:>6}/5")

@@ -6,7 +6,7 @@
 # offspring that landed in previously empty cells) helps more, because the
 # draw concentrates on parents currently producing novelty.
 
-from spiralns import execute_batch, parse_config
+from spiralns import execute_batch, final_coverage, parse_config
 
 VARIANTS = {
     "Fig3h": "no resampling     ",
@@ -18,8 +18,8 @@ print("structured (grid) archive, 5 seeded runs each:")
 print()
 for scenario, label in VARIANTS.items():
     batch = execute_batch(parse_config(f"scenario = {scenario}\nruns = 5\n"))
-    per_run = [f"{t.final_coverage:.2f}" for t in batch.telemetries]
-    occupied = batch.telemetries[0].gen_rows[-1].grid_occupied
+    per_run = [f"{final_coverage(t.telemetry):.2f}" for t in batch.telemetries]
+    occupied = batch.telemetries[0].telemetry["grid_occupied"][-1]
     print(f"  {label} per-run coverage: {' '.join(per_run)}   cells used: {occupied}")
 
 print()

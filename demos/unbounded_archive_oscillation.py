@@ -7,6 +7,7 @@
 # zero and the swings shrink as the archive fills in, like a damped cosine.
 
 from spiralns import (
+    final_coverage,
     fit_damped_oscillator,
     parse_config,
     run_single,
@@ -14,11 +15,11 @@ from spiralns import (
 )
 
 config = parse_config("scenario = Fig3a\nruns = 1\n")
-telemetry = run_single(config, run_index=0)
+table = run_single(config, run_index=0).telemetry
 
-H = telemetry.median_delta_history()
-print(f"final coverage after {len(H)} generations: {telemetry.final_coverage:.2f}")
-print(f"archive size: {telemetry.gen_rows[-1].archive_size}")
+H = table["median_delta"].tolist()
+print(f"final coverage after {len(H)} generations: {final_coverage(table):.2f}")
+print(f"archive size: {table['archive_size'][-1]}")
 
 phases = segment_phases(H, window=11)
 print(f"\n{len(phases)} alternating phases; the first few:")

@@ -1,9 +1,9 @@
-"""Run analysis: mutation deltas, median histories, oscillation fits, coverage.
+"""Run analysis: medians, oscillation fits, phases, coverage.
 
-Everything here is a pure function over run records.  The central series is
-H, the per-generation median of arc-length mutation deltas; expansion and
-retraction phases are sign runs of a smoothed H, and the damped-cosine fit
-quantifies how that oscillation decays.
+The central series is H, each generation's median arc-length mutation delta
+(birth_delta) over the surviving population, roots excluded; runs record it
+in their telemetry.  Expansion and retraction phases are sign runs of a
+smoothed H, and the damped-cosine fit quantifies how that oscillation decays.
 """
 
 from __future__ import annotations
@@ -15,30 +15,20 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .spiral import BehaviorPoint, SpiralParams, arc_lengths_from_origin
+from .spiral import SpiralParams, arc_lengths_from_origin
 
 __all__ = [
-    "MutationDeltaRecord",
     "OscillatorFit",
     "PhaseKind",
     "Phase",
     "CoverageReport",
     "CoverageAccumulator",
     "median",
-    "mutation_deltas",
-    "median_history",
     "fit_damped_oscillator",
     "segment_phases",
-    "coverage",
 ]
 
 MIN_FIT_SAMPLES = 20
-
-
-@dataclass(frozen=True)
-class MutationDeltaRecord:
-    generation: int
-    deltas: list  # signed arc-length change per offspring, outward positive
 
 
 @dataclass(frozen=True)
@@ -51,15 +41,6 @@ class OscillatorFit:
     phase: float
     offset: float
     residual: float  # root mean square error over the fitted range
-
-    def predict(self, g) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        return (
-            self.amplitude
-            * np.exp(-self.decay * g)
-            * np.cos(self.frequency * g + self.phase)
-            + self.offset
-        )
 
 
 class PhaseKind(Enum):
@@ -90,27 +71,6 @@ def median(values: Sequence[float]) -> float:
     if n % 2:
         return float(ordered[mid])
     return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def mutation_deltas(
-    lineage_log: Sequence, generation: int, params: SpiralParams
-) -> MutationDeltaRecord:
-    """Arc-length deltas of every offspring born in the given generation."""
-    entries = [e for e in lineage_log if e.generation == generation]
-    if not entries:
-        raise ValueError(f"no lineage entries for generation {generation}")
-    child_arcs = arc_lengths_from_origin(
-        np.array([e.child_t for e in entries]), params
-    )
-    parent_arcs = arc_lengths_from_origin(
-        np.array([e.parent_t for e in entries]), params
-    )
-    return MutationDeltaRecord(generation, list(child_arcs - parent_arcs))
-
-
-def median_history(delta_records: Sequence[Sequence[float]]) -> list:
-    """Per-generation medians of delta collections, in the given order."""
-    return [median(deltas) for deltas in delta_records]
 
 
 def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
@@ -238,15 +198,6 @@ def segment_phases(H: Sequence[float], window: int = 11) -> list:
     if current is not None:
         phases.append(Phase(start, len(smoothed) - 1, current))
     return phases
-
-
-def coverage(
-    behaviors: Sequence[BehaviorPoint], B: int, params: SpiralParams
-) -> CoverageReport:
-    """Which of B equal arc-length bins contain at least one behavior."""
-    acc = CoverageAccumulator(params, B)
-    acc.add_parameters(np.array([b.t for b in behaviors]))
-    return acc.report()
 
 
 class CoverageAccumulator:

@@ -34,7 +34,6 @@ __all__ = [
     "GridArchive",
     "SamplingMode",
     "SamplingStrategy",
-    "to_columns",
     "to_records",
     "sample_parents",
     "update_discovery_scores",
@@ -62,20 +61,6 @@ class Individual:
     parent_id: Optional[int] = None
     birth_generation: int = 0
     birth_delta: Optional[float] = None  # arc_pos - parent's arc_pos, None for roots
-
-
-def to_columns(individuals) -> np.ndarray:
-    """The records as the columns of an (N_ROWS, n) array."""
-    cols = np.empty((N_ROWS, len(individuals)))
-    for j, ind in enumerate(individuals):
-        b = ind.behavior
-        cols[:, j] = (
-            b.x, b.y, ind.arc_pos, b.t, ind.genotype.value,
-            _SPACES.index(ind.genotype.space), ind.novelty, ind.eta, ind.id,
-            -1 if ind.parent_id is None else ind.parent_id, ind.birth_generation,
-            math.nan if ind.birth_delta is None else ind.birth_delta,
-        )
-    return cols
 
 
 def to_records(cols: np.ndarray) -> list:
@@ -178,7 +163,7 @@ class _Archive:
 class UnstructuredArchive(_Archive):
     """Flat multiset of individuals with optional size bound and random eviction."""
 
-    def __init__(self, max_size: Optional[int] = None, additions_per_generation=6, members=()):
+    def __init__(self, max_size: Optional[int] = None, additions_per_generation=6):
         if max_size is not None and max_size < 1:
             raise ValueError(f"max_size must be >= 1, got {max_size}")
         if additions_per_generation < 1:
@@ -187,7 +172,7 @@ class UnstructuredArchive(_Archive):
             )
         self.max_size = max_size
         self.additions_per_generation = additions_per_generation
-        self._rows = _Rows(to_columns(list(members)))
+        self._rows = _Rows(_NO_ENTRIES)
 
     def individuals(self) -> list:
         """Fresh records of the members, in storage order."""

@@ -21,7 +21,9 @@ from .experiments import (
     FIT_COLUMNS,
     ConfigError,
     config_from_items,
+    _write_csv,
     effective_config_items,
+    final_coverage,
     fit_cells,
     parse_config_items,
     parse_value,
@@ -66,7 +68,7 @@ def _cmd_run(args) -> int:
     _echo_config(config)
     batch = run_batch(config)
     tel = batch.telemetries[0]
-    print(f"run 0 (seed {tel.seed}): final coverage {tel.final_coverage!r}")
+    print(f"run 0 (seed {tel.seed}): final coverage {final_coverage(tel.telemetry)!r}")
     print(f"artifacts in {config.output_dir}")
     return 0
 
@@ -76,7 +78,8 @@ def _cmd_batch(args) -> int:
     _echo_config(config)
     batch = run_batch(config)
     for tel in batch.telemetries:
-        print(f"run {tel.run_index} (seed {tel.seed}): final coverage {tel.final_coverage!r}")
+        final = final_coverage(tel.telemetry)
+        print(f"run {tel.run_index} (seed {tel.seed}): final coverage {final!r}")
     print(f"cumulative coverage {batch.cumulative.fraction!r}")
     print(f"artifacts in {config.output_dir}")
     return 0
@@ -99,22 +102,15 @@ ANALYSIS_COLUMNS = ["file", "generations", "final_coverage", *FIT_COLUMNS]
 
 
 def _cmd_analyze(args) -> int:
-    import csv
-
     paths = _expand_inputs(args.inputs, "_telemetry.csv")
     out_rows = []
     for path in paths:
-        _, columns = read_telemetry(path)
-        H = columns["median_delta"].tolist()
-        final_coverage = columns["coverage_fraction"][-1].item() if len(columns) else 0.0
-        out_rows.append([path, str(len(H)), repr(final_coverage), *fit_cells(H)])
-        print(f"{path}: coverage {final_coverage!r}")
+        _, table = read_telemetry(path)
+        final = final_coverage(table)
+        out_rows.append([path, str(len(table)), repr(final), *fit_cells(table)])
+        print(f"{path}: coverage {final!r}")
 
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(f"# spiralns {__version__}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ANALYSIS_COLUMNS)
-        writer.writerows(out_rows)
+    _write_csv(args.out, [f"# spiralns {__version__}"], ANALYSIS_COLUMNS, out_rows)
     print(f"wrote {args.out}")
     return 0
 

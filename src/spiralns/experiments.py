@@ -15,6 +15,7 @@ import csv
 import io
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
@@ -54,7 +55,8 @@ __all__ = [
     "ExperimentConfig",
     "ConfigKey",
     "CONFIG_KEYS",
-    "GenerationRow",
+    "TELEMETRY_DTYPE",
+    "LINEAGE_DTYPE",
     "RunTelemetry",
     "BatchResult",
     "parse_config",
@@ -62,11 +64,11 @@ __all__ = [
     "parse_value",
     "config_from_items",
     "effective_config_items",
-    "evaluation_count",
     "run_single",
     "execute_batch",
     "run_batch",
     "emit_summary",
+    "final_coverage",
     "fit_cells",
     "read_telemetry",
     "read_lineage",
@@ -456,42 +458,33 @@ def effective_config_items(config: ExperimentConfig) -> list:
     return [(row.key, _fmt(attrgetter(row.path)(config))) for row in CONFIG_KEYS]
 
 
-def evaluation_count(config: ExperimentConfig) -> int:
-    """Individuals evaluated over one run: the initial population plus all offspring."""
-    evo = config.evolution
-    return evo.pop_size + evo.offspring_size * evo.g_max
-
-
 # ---------------------------------------------------------------------------
 # Execution
 
 
-class GenerationRow(NamedTuple):
-    generation: int
-    coverage_fraction: float
-    median_delta: float
-    archive_size: int
-    grid_occupied: int
-    max_novelty: float
+# The tables of a run's telemetry and lineage CSVs, one field per column in
+# file order: the run fills them, the writers write them and the readers
+# return them.  median_delta is H, the median birth_delta of the surviving
+# population, roots excluded.
+TELEMETRY_DTYPE = np.dtype(
+    [("generation", np.int64), ("coverage_fraction", np.float64), ("median_delta", np.float64),
+     ("archive_size", np.int64), ("grid_occupied", np.int64), ("max_novelty", np.float64)]
+)
+# Built positionally from LineageEntry records, so the fields follow them.
+LINEAGE_DTYPE = np.dtype(
+    [("generation", np.int64), ("child_id", np.int64), ("parent_id", np.int64),
+     ("child_t", np.float64), ("parent_t", np.float64)]
+)
 
 
 @dataclass
 class RunTelemetry:
     run_index: int
     seed: int
-    init_t0: float
-    gen_rows: list
-    lineage: list
-    final_population: list
+    telemetry: np.ndarray  # TELEMETRY_DTYPE, one row per generation
+    lineage: np.ndarray  # LINEAGE_DTYPE, one row per offspring
     final_archive: list
     evaluated_ts: np.ndarray  # curve parameter of every evaluated individual
-
-    @property
-    def final_coverage(self) -> float:
-        return self.gen_rows[-1].coverage_fraction if self.gen_rows else 0.0
-
-    def median_delta_history(self) -> list:
-        return [row.median_delta for row in self.gen_rows]
 
 
 @dataclass
@@ -530,40 +523,34 @@ def run_single(config: ExperimentConfig, run_index: int = 0) -> RunTelemetry:
     acc = CoverageAccumulator(config.spiral, COVERAGE_BINS)
     init_ts = np.full(evo.pop_size, evo.init_t0)
     acc.add_parameters(init_ts)
-    ts_chunks = [init_ts]
 
-    rows = []
+    table = np.empty(evo.g_max, TELEMETRY_DTYPE)
     grid = isinstance(state.archive, GridArchive)
     for g in range(1, evo.g_max + 1):
         seen = len(state.lineage_log)
         step_generation(state, evo, config.sampling)
-        child_ts = np.array([e.child_t for e in state.lineage_log[seen:]])
-        acc.add_parameters(child_ts)
-        ts_chunks.append(child_ts)
+        acc.add_parameters([e.child_t for e in state.lineage_log[seen:]])
 
         deltas = state.columns[BIRTH_DELTA]
         archive_size = len(state.archive) if state.archive is not None else 0
-        rows.append(
-            GenerationRow(
-                generation=g,
-                coverage_fraction=acc.fraction,
-                median_delta=median(deltas[~np.isnan(deltas)].tolist()),
-                archive_size=archive_size,
-                grid_occupied=archive_size if grid else 0,
-                max_novelty=float(state.columns[NOVELTY].max()),
-            )
+        table[g - 1] = (
+            g,
+            acc.fraction,
+            median(deltas[~np.isnan(deltas)].tolist()),
+            archive_size,
+            archive_size if grid else 0,
+            state.columns[NOVELTY].max(),
         )
 
     final_archive = state.archive.individuals() if state.archive is not None else []
+    lineage = np.array(state.lineage_log, LINEAGE_DTYPE)
     return RunTelemetry(
         run_index=run_index,
         seed=seed,
-        init_t0=evo.init_t0,
-        gen_rows=rows,
-        lineage=list(state.lineage_log),
-        final_population=state.population,
+        telemetry=table,
+        lineage=lineage,
         final_archive=final_archive,
-        evaluated_ts=np.concatenate(ts_chunks),
+        evaluated_ts=np.concatenate((init_ts, lineage["child_t"])),
     )
 
 
@@ -580,16 +567,8 @@ def execute_batch(config: ExperimentConfig) -> BatchResult:
 # ---------------------------------------------------------------------------
 # Artifacts
 
-TELEMETRY_COLUMNS = [
-    "generation",
-    "coverage_fraction",
-    "median_delta",
-    "archive_size",
-    "grid_occupied",
-    "max_novelty",
-]
-
-LINEAGE_COLUMNS = ["generation", "child_id", "parent_id", "child_t", "parent_t"]
+TELEMETRY_COLUMNS = list(TELEMETRY_DTYPE.names)
+LINEAGE_COLUMNS = list(LINEAGE_DTYPE.names)
 
 FIT_COLUMNS = [
     "fit_amplitude",
@@ -630,23 +609,33 @@ def _write_csv(path, header_lines, columns, rows):
         writer.writerows(rows)
 
 
-# The csv module writes ints with str and floats with repr, so records of
-# Python ints and floats go to _write_csv as they are.
-def write_run_telemetry(config: ExperimentConfig, tel: RunTelemetry, path: str):
+def _write_table(config: ExperimentConfig, tel: RunTelemetry, table: np.ndarray, path: str):
+    # tolist() yields Python ints and floats, which the csv module writes
+    # with str and repr.
     extra = [("run_index", str(tel.run_index)), ("seed", str(tel.seed))]
-    _write_csv(path, _header_lines(config, extra), TELEMETRY_COLUMNS, tel.gen_rows)
+    columns = [table[name].tolist() for name in table.dtype.names]
+    _write_csv(path, _header_lines(config, extra), table.dtype.names, zip(*columns))
+
+
+def write_run_telemetry(config: ExperimentConfig, tel: RunTelemetry, path: str):
+    _write_table(config, tel, tel.telemetry, path)
 
 
 def write_run_lineage(config: ExperimentConfig, tel: RunTelemetry, path: str):
-    extra = [("run_index", str(tel.run_index)), ("seed", str(tel.seed))]
-    _write_csv(path, _header_lines(config, extra), LINEAGE_COLUMNS, tel.lineage)
+    _write_table(config, tel, tel.lineage, path)
 
 
-def fit_cells(H) -> list:
-    """The oscillator fit and phase count of a median-delta history as seven
+def final_coverage(telemetry: np.ndarray) -> float:
+    """Coverage after the last generation of a telemetry table, 0.0 if it is empty."""
+    return telemetry["coverage_fraction"][-1].item() if len(telemetry) else 0.0
+
+
+def fit_cells(telemetry: np.ndarray) -> list:
+    """The oscillator fit and phase count of a telemetry table's H as seven
     cells (FIT_COLUMNS), all empty below MIN_FIT_SAMPLES generations."""
-    if len(H) < MIN_FIT_SAMPLES:
+    if len(telemetry) < MIN_FIT_SAMPLES:
         return [""] * len(FIT_COLUMNS)
+    H = telemetry["median_delta"].tolist()
     fit = fit_damped_oscillator(H)
     params = (fit.amplitude, fit.decay, fit.frequency, fit.phase, fit.offset, fit.residual)
     return [*map(repr, params), str(len(segment_phases(H, PHASE_WINDOW)))]
@@ -658,7 +647,7 @@ def summary_rows(batch: BatchResult) -> list:
     coverages = []
     successes = 0
     for tel in batch.telemetries:
-        final = tel.final_coverage
+        final = final_coverage(tel.telemetry)
         coverages.append(final)
         success = final >= FULL_COVERAGE_THRESHOLD
         successes += int(success)
@@ -672,7 +661,7 @@ def summary_rows(batch: BatchResult) -> list:
                 "",
                 "",
                 "",
-                *fit_cells(tel.median_delta_history()),
+                *fit_cells(tel.telemetry),
             ]
         )
     n = len(coverages)
@@ -727,17 +716,29 @@ def run_batch(config: ExperimentConfig) -> BatchResult:
 # Readers for the analyze/plot subcommands.
 
 
-# Columns read back as int64; every other column is float64.
-_INT_COLUMNS = {"generation", "child_id", "parent_id", "archive_size", "grid_occupied"}
+def _bad_line(body, dtype, lineno):
+    """'line N[, column C]: reason' for the first body line np.loadtxt rejects,
+    N counting file lines from 1 (the body starts at line lineno)."""
+    for n, line in enumerate(body.splitlines(), lineno):
+        if not line.partition("#")[0].strip():  # skipped by np.loadtxt
+            continue
+        try:
+            np.loadtxt([line], dtype, delimiter=",")
+        except ValueError as e:
+            cell = re.fullmatch(r"(.*) at row \d+, column (\d+)\.", str(e))
+            if cell:
+                return f"line {n}, column {cell[2]}: {cell[1]}"
+            return f"line {n}: expected {len(dtype)} cells, found {len(line.split(','))}"
 
 
-def _read_columns(path, names, kind):
-    """Header dict plus the body as a structured array, one field per column.
+def _read_columns(path, dtype, kind):
+    """Header dict plus the body as a structured array of the given dtype.
 
     The leading `# key = value` lines form the header, the next line must
-    name the columns, and the rest is parsed in one np.loadtxt call.
+    name the dtype's fields, and the rest is parsed in one np.loadtxt call.
     """
     header = {}
+    lineno = 1
     with open(path, newline="") as fh:
         line = fh.readline()
         while line.startswith("#"):
@@ -745,26 +746,26 @@ def _read_columns(path, names, kind):
             if sep:
                 header[key.strip()] = value.strip()
             line = fh.readline()
+            lineno += 1
         body = fh.read()
     if not line:
         raise ValueError(f"{path}: no CSV rows found")
     columns = next(csv.reader([line]))
-    if columns != names:
+    if columns != list(dtype.names):
         raise ValueError(f"{path}: not a {kind} file (columns {columns})")
-    dtype = [(name, np.int64 if name in _INT_COLUMNS else np.float64) for name in names]
     if not body.strip():  # np.loadtxt warns on an empty body
         return header, np.empty(0, dtype)
     try:
         return header, np.loadtxt(io.StringIO(body), dtype, delimiter=",", ndmin=1)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    except ValueError:
+        raise ValueError(f"{path}: {_bad_line(body, dtype, lineno + 1)}") from None
 
 
 def read_telemetry(path):
-    """Header dict plus the TELEMETRY_COLUMNS of a telemetry CSV as a structured array."""
-    return _read_columns(path, TELEMETRY_COLUMNS, "telemetry")
+    """Header dict plus the body of a telemetry CSV as a TELEMETRY_DTYPE array."""
+    return _read_columns(path, TELEMETRY_DTYPE, "telemetry")
 
 
 def read_lineage(path):
-    """Header dict plus the LINEAGE_COLUMNS of a lineage CSV as a structured array."""
-    return _read_columns(path, LINEAGE_COLUMNS, "lineage")
+    """Header dict plus the body of a lineage CSV as a LINEAGE_DTYPE array."""
+    return _read_columns(path, LINEAGE_DTYPE, "lineage")

@@ -15,7 +15,7 @@ length map to unbiased steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -35,7 +35,6 @@ __all__ = [
     "geodesic_distance",
     "map_genotype",
     "map_genotypes",
-    "clamp_genotype",
     "genotype_bounds",
     "genotype_at_curve_parameter",
 ]
@@ -283,15 +282,6 @@ def map_genotypes(values: np.ndarray, space: GenotypeSpace, params: SpiralParams
         t, arc = values, _exact_arc_lengths(values, params.a)
     r = params.a * t
     return t, r * np.cos(t), r * np.sin(t), arc
-
-
-def clamp_genotype(g: Genotype, params: SpiralParams) -> Genotype:
-    lo, hi = genotype_bounds(g.space, params)
-    if g.value < lo:
-        return replace(g, value=lo)
-    if g.value > hi:
-        return replace(g, value=hi)
-    return g
 
 
 def genotype_at_curve_parameter(

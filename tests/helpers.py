@@ -1,0 +1,29 @@
+"""Test helpers that build the program's column arrays from Individual records."""
+
+import math
+
+import numpy as np
+
+from spiralns import GenotypeSpace, UnstructuredArchive
+from spiralns.archives import N_ROWS
+
+
+def to_columns(individuals) -> np.ndarray:
+    """The records as the columns of an (N_ROWS, n) array, rows as in `archives`."""
+    cols = np.empty((N_ROWS, len(individuals)))
+    for j, ind in enumerate(individuals):
+        b = ind.behavior
+        cols[:, j] = (
+            b.x, b.y, ind.arc_pos, b.t, ind.genotype.value,
+            list(GenotypeSpace).index(ind.genotype.space), ind.novelty, ind.eta, ind.id,
+            -1 if ind.parent_id is None else ind.parent_id, ind.birth_generation,
+            math.nan if ind.birth_delta is None else ind.birth_delta,
+        )
+    return cols
+
+
+def unstructured_archive(members, **kwargs) -> UnstructuredArchive:
+    """An unstructured archive holding copies of the given records, in order."""
+    archive = UnstructuredArchive(**kwargs)
+    archive._rows.append(to_columns(members))
+    return archive

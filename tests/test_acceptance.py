@@ -30,9 +30,10 @@ from spiralns import (
     update_discovery_scores,
 )
 from spiralns.analysis import median
-from spiralns.archives import to_columns
 from spiralns.evolution import Individual, _pool_novelty
-from spiralns.experiments import execute_batch
+from spiralns.experiments import execute_batch, final_coverage
+
+from helpers import to_columns
 
 PARAMS = SpiralParams()
 FULL = 0.95  # coverage fraction counted as full exploration
@@ -64,12 +65,12 @@ def grid_batches():
 
 
 def success_rate(result) -> float:
-    per_run = [tel.final_coverage for tel in result.telemetries]
+    per_run = [final_coverage(tel.telemetry) for tel in result.telemetries]
     return sum(c >= FULL for c in per_run) / len(per_run)
 
 
 def median_coverage(result) -> float:
-    return median([tel.final_coverage for tel in result.telemetries])
+    return median([final_coverage(tel.telemetry) for tel in result.telemetries])
 
 
 def test_criterion_1_arc_length_oracle(criterion):
@@ -140,7 +141,7 @@ def test_criterion_4_unbounded_archive_oscillation(criterion, fig3a_batch):
     n_signs_ok = 0
     n_decay_ok = 0
     for tel in fig3a_batch.telemetries[:10]:
-        H = tel.median_delta_history()
+        H = tel.telemetry["median_delta"].tolist()
         sign_changes = len(segment_phases(H, window=11)) - 1
         n_signs_ok += sign_changes >= 3
         fit = fit_damped_oscillator(H)
@@ -290,9 +291,9 @@ def test_criterion_8_exact_property_suite(criterion):
     cfg = parse_config("scenario = Custom\nevolution.g_max = 50\nruns = 1\n")
     a, b = run_single(cfg, 0), run_single(cfg, 0)
     checks["deterministic reruns"] = (
-        a.gen_rows == b.gen_rows
-        and a.lineage == b.lineage
-        and np.array_equal(a.evaluated_ts, b.evaluated_ts)
+        a.telemetry.tobytes() == b.telemetry.tobytes()
+        and a.lineage.tobytes() == b.lineage.tobytes()
+        and a.evaluated_ts.tobytes() == b.evaluated_ts.tobytes()
     )
 
     # oscillator fit recovers known parameters from clean data

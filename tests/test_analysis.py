@@ -1,4 +1,4 @@
-"""Analysis functions: deltas, medians, oscillator fits, phases, coverage."""
+"""Analysis functions: medians, oscillator fits, phases, coverage."""
 
 import math
 
@@ -10,52 +10,20 @@ from spiralns import (
     Phase,
     PhaseKind,
     SpiralParams,
-    coverage,
     fit_damped_oscillator,
-    median_history,
-    mutation_deltas,
     segment_phases,
-    spiral_point,
 )
 from spiralns.analysis import median
-from spiralns.evolution import LineageEntry
 from spiralns.spiral import arc_length_from_origin
 
 PARAMS = SpiralParams()
 
 
-def entry(gen, child_t, parent_t, child_id=1, parent_id=0):
-    return LineageEntry(gen, child_id, parent_id, child_t, parent_t)
-
-
-class TestMutationDeltas:
-    def test_no_change_gives_zero(self):
-        rec = mutation_deltas([entry(1, 5.0, 5.0)], 1, PARAMS)
-        assert rec.generation == 1
-        assert rec.deltas == [0.0]
-
-    def test_known_outward_jump(self):
-        rec = mutation_deltas([entry(1, 22 * math.pi, 20 * math.pi)], 1, PARAMS)
-        assert rec.deltas[0] == pytest.approx(4.1457103718836855, rel=1e-12)
-
-    def test_antisymmetry(self):
-        fwd = mutation_deltas([entry(1, 22 * math.pi, 20 * math.pi)], 1, PARAMS)
-        rev = mutation_deltas([entry(1, 20 * math.pi, 22 * math.pi)], 1, PARAMS)
-        assert fwd.deltas[0] == -rev.deltas[0]
-
-    def test_one_delta_per_offspring(self):
-        log = [entry(1, 1.0, 2.0), entry(1, 3.0, 4.0), entry(2, 5.0, 6.0)]
-        rec = mutation_deltas(log, 1, PARAMS)
-        assert len(rec.deltas) == 2
-
-    def test_missing_generation_raises(self):
-        with pytest.raises(ValueError):
-            mutation_deltas([entry(1, 1.0, 2.0)], 7, PARAMS)
-
-    def test_sign_convention(self):
-        outward = mutation_deltas([entry(1, 10.0, 5.0)], 1, PARAMS)
-        inward = mutation_deltas([entry(1, 5.0, 10.0)], 1, PARAMS)
-        assert outward.deltas[0] > 0 > inward.deltas[0]
+def coverage(ts, bins=100) -> CoverageAccumulator:
+    """An accumulator over the given curve parameters."""
+    acc = CoverageAccumulator(PARAMS, bins)
+    acc.add_parameters(ts)
+    return acc
 
 
 class TestMedian:
@@ -73,12 +41,6 @@ class TestMedian:
 
     def test_empty_is_zero(self):
         assert median([]) == 0.0
-
-    def test_history_of_constant_zero_runs(self):
-        assert median_history([[0.0, 0.0], [0.0], [0.0] * 5]) == [0.0, 0.0, 0.0]
-
-    def test_history_applies_median_per_generation(self):
-        assert median_history([[-1, 0, 2], [1, 3]]) == [0.0, 2.0]
 
 
 def model(g, A, lam, om, phi, c):
@@ -106,7 +68,8 @@ class TestFitDampedOscillator:
         H = model(g, A=1.0, lam=0.01, om=0.12, phi=0.0, c=0.0)
         H = H + 0.01 * np.sin(g)  # make the fit imperfect on purpose
         fit = fit_damped_oscillator(H)
-        rmse = float(np.sqrt(np.mean((fit.predict(np.arange(len(H))) - H) ** 2)))
+        predicted = model(g, fit.amplitude, fit.decay, fit.frequency, fit.phase, fit.offset)
+        rmse = float(np.sqrt(np.mean((predicted - H) ** 2)))
         assert rmse == pytest.approx(fit.residual, rel=1e-9)
 
     def test_constant_series(self):
@@ -186,7 +149,7 @@ class TestSegmentPhases:
 
 class TestCoverage:
     def test_single_behavior_covers_one_bin(self):
-        rep = coverage([spiral_point(10.0, PARAMS)], 100, PARAMS)
+        rep = coverage([10.0])
         assert rep.fraction == pytest.approx(1 / 100)
         assert rep.covered.sum() == 1
 
@@ -194,17 +157,13 @@ class TestCoverage:
         from spiralns import invert_arc_length
 
         s_max = PARAMS.s_max
-        pts = [
-            spiral_point(invert_arc_length((i + 0.5) * s_max / 100, PARAMS), PARAMS)
-            for i in range(100)
-        ]
-        rep = coverage(pts, 100, PARAMS)
+        rep = coverage([invert_arc_length((i + 0.5) * s_max / 100, PARAMS) for i in range(100)])
         assert rep.fraction == 1.0
 
     def test_band_share_matches_arc_length_share(self):
         rng = np.random.default_rng(23)
         ts = rng.uniform(20 * math.pi, 30 * math.pi, 5000)
-        rep = coverage([spiral_point(float(t), PARAMS) for t in ts], 100, PARAMS)
+        rep = coverage(ts)
         share = (
             PARAMS.s_max - arc_length_from_origin(20 * math.pi, PARAMS)
         ) / PARAMS.s_max
@@ -220,9 +179,9 @@ class TestCoverage:
             prev = acc.fraction
 
     def test_endpoint_clamps_into_last_bin(self):
-        rep = coverage([spiral_point(PARAMS.t_max, PARAMS)], 100, PARAMS)
+        rep = coverage([PARAMS.t_max])
         assert rep.covered[99]
 
     def test_invalid_bin_count(self):
         with pytest.raises(ValueError):
-            coverage([], 0, PARAMS)
+            coverage([], bins=0)

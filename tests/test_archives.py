@@ -24,9 +24,11 @@ from spiralns import (
     step_generation,
     update_discovery_scores,
 )
-from spiralns.archives import ID, to_columns
+from spiralns.archives import ID
 from spiralns.evolution import Individual
 from spiralns.spiral import BehaviorPoint, arc_length_from_origin
+
+from helpers import to_columns, unstructured_archive
 
 PARAMS = SpiralParams()
 
@@ -115,7 +117,7 @@ class TestUnstructuredArchive:
 
     def test_mutating_returned_records_leaves_entries_unchanged(self):
         rng = np.random.default_rng(4)
-        arch = UnstructuredArchive(members=[ind(2.0, 7, eta=0.25)])
+        arch = unstructured_archive([ind(2.0, 7, eta=0.25)])
         arch.update(to_columns([ind(5.0, 0)]), rng)
         before, coords = arch.individuals(), arch.coords().copy()
         for record in arch.individuals():
@@ -127,7 +129,7 @@ class TestUnstructuredArchive:
         assert [m.eta for m in arch.individuals()] == [0.25, 0.0]
 
     def test_storage_is_private(self):
-        arch = UnstructuredArchive(members=[ind(2.0, 7)])
+        arch = unstructured_archive([ind(2.0, 7)])
         assert not hasattr(arch, "members")
         assert not hasattr(GridArchive(PARAMS), "cells")
 
@@ -290,21 +292,21 @@ class TestCoordsStayInSync:
         assert_occupants_in_their_cells(arch)
 
     def test_initial_entries_are_mirrored(self):
-        arch = UnstructuredArchive(members=[ind(0.5 * t, t) for t in range(100)])
+        arch = unstructured_archive([ind(0.5 * t, t) for t in range(100)])
         assert_coords_in_sync(arch)
 
     def test_coords_are_read_only(self):
-        arch = UnstructuredArchive(members=[ind(1.0, 0)])
+        arch = unstructured_archive([ind(1.0, 0)])
         with pytest.raises(ValueError):
             arch.coords()[0, 0] = 5.0
 
 
 def make_pop_and_archive(etas):
     pop = to_columns([ind(1.0 + i, i) for i in range(10)])
-    arch = UnstructuredArchive(
+    arch = unstructured_archive(
+        [ind(20.0 + i, 100 + i, eta=e) for i, e in enumerate(etas)],
         max_size=None,
         additions_per_generation=1,
-        members=[ind(20.0 + i, 100 + i, eta=e) for i, e in enumerate(etas)],
     )
     return pop, arch
 

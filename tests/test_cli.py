@@ -225,6 +225,20 @@ class TestAnalyze:
         assert "'x'" in stderr and "column 6" in stderr
         assert not out.exists()
 
+    def test_bad_value_error_gives_the_file_line(self, batch_dir, tmp_path, capsys):
+        lines = (batch_dir / "run_000_telemetry.csv").read_text().splitlines(keepends=True)
+        assert lines[25].startswith("generation,") and lines[26].startswith("1,")
+        cells = lines[29].split(",")  # file line 30, generation 4
+        cells[1] = "x"
+        lines[29] = ",".join(cells)
+        lines.insert(28, "\n")  # a blank line: np.loadtxt skips it, a file line still
+        bad = tmp_path / "bad_telemetry.csv"
+        bad.write_text("".join(lines))
+        code, _, stderr = run_cli(["analyze", str(bad), "--out", str(tmp_path / "a.csv")], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {bad}: line 31, column 2: ")
+        assert "'x'" in stderr
+
 
 class TestPlot:
     def test_directory_input(self, batch_dir, tmp_path, capsys):
@@ -260,6 +274,17 @@ class TestPlot:
         assert code == 2
         assert stderr.startswith(f"error: {bad}: ")
         assert "'x'" in stderr
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_wrong_cell_count_error_gives_the_file_line(self, batch_dir, tmp_path, capsys):
+        lines = (batch_dir / "run_000_lineage.csv").read_text().splitlines(keepends=True)
+        assert lines[25].startswith("generation,") and lines[26].startswith("1,")
+        lines[39] = lines[39].rstrip("\n") + ",7\n"  # file line 40
+        bad = tmp_path / "bad_lineage.csv"
+        bad.write_text("".join(lines))
+        code, _, stderr = run_cli(["plot", str(bad), "--out", str(tmp_path / "p.svg")], capsys)
+        assert code == 2
+        assert stderr == f"error: {bad}: line 40: expected 5 cells, found 6\n"
         assert not (tmp_path / "p.svg").exists()
 
     def test_bad_header_value_names_file_and_key(self, batch_dir, tmp_path, capsys):

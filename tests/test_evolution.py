@@ -13,16 +13,16 @@ from spiralns import (
     SamplingMode,
     SamplingStrategy,
     SpiralParams,
-    UnstructuredArchive,
     init_population,
     map_genotype,
     mutate,
     spiral_point,
     step_generation,
 )
-from spiralns.archives import to_columns
 from spiralns.evolution import TREE_CROSSOVER, Individual, _pool_novelty
 from spiralns.spiral import BehaviorPoint
+
+from helpers import to_columns, unstructured_archive
 
 PARAMS = SpiralParams()
 POP_ONLY = SamplingStrategy(SamplingMode.POPULATION_ONLY)
@@ -409,10 +409,8 @@ class TestStepGeneration:
         # a far-away archived point lifts the novelty of everything
         cfg = EvolutionConfig(pop_size=3, offspring_size=3, k=10, seed=11)
         state = init_population(cfg, PARAMS)
-        state.archive = UnstructuredArchive(
-            max_size=None,
-            additions_per_generation=1,
-            members=[make_individual(0.0, 999)],
+        state.archive = unstructured_archive(
+            [make_individual(0.0, 999)], max_size=None, additions_per_generation=1
         )
         step_generation(state, cfg, POP_ONLY)
         with_archive = max(i.novelty for i in state.population)

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,17 +21,20 @@ from spiralns import (
     SpiralParams,
     effective_config_items,
     emit_summary,
-    evaluation_count,
     execute_batch,
+    init_population,
     parse_config,
     render_svg,
     run_batch,
     run_single,
+    step_generation,
 )
 from spiralns.cli import _collect_items, build_parser
+from spiralns.evolution import LineageEntry
 from spiralns.experiments import (
     CONFIG_KEYS,
     LINEAGE_COLUMNS,
+    LINEAGE_DTYPE,
     SCENARIO_PINS,
     SUMMARY_COLUMNS,
     TELEMETRY_COLUMNS,
@@ -46,6 +50,12 @@ from spiralns.svgplot import emit_svg
 PARAMS = SpiralParams()
 
 SMALL = "scenario = Custom\nevolution.g_max = 10\nruns = 2\n"
+
+
+def evaluation_count(config) -> int:
+    """Individuals evaluated over one run: the initial population plus all offspring."""
+    evo = config.evolution
+    return evo.pop_size + evo.offspring_size * evo.g_max
 
 
 def assert_same_bits(column, values):
@@ -252,10 +262,22 @@ class TestRunSingle:
     def test_row_count_and_monotone_coverage(self):
         cfg = parse_config(SMALL)
         tel = run_single(cfg, 0)
-        assert len(tel.gen_rows) == 10
-        fracs = [r.coverage_fraction for r in tel.gen_rows]
+        assert tel.telemetry["generation"].tolist() == list(range(1, 11))
+        fracs = tel.telemetry["coverage_fraction"].tolist()
         assert fracs == sorted(fracs)
         assert tel.seed == cfg.base_seed
+
+    def test_median_delta_is_median_birth_delta_of_survivors(self):
+        # H: each generation's median birth_delta over the surviving
+        # population, roots excluded (0.0 while only roots survive).
+        cfg = parse_config("scenario = Custom\nevolution.g_max = 30\nruns = 1\nbase_seed = 4\n")
+        tel = run_single(cfg, 0)
+        evo = replace(cfg.evolution, seed=4)
+        state = init_population(evo, cfg.spiral)
+        for row in tel.telemetry:
+            step_generation(state, evo, cfg.sampling)
+            deltas = [i.birth_delta for i in state.population if i.parent_id is not None]
+            assert row["median_delta"] == (float(np.median(deltas)) if deltas else 0.0)
 
     def test_seed_offsets_by_run_index(self):
         cfg = parse_config(SMALL + "base_seed = 5\n")
@@ -264,9 +286,9 @@ class TestRunSingle:
     def test_determinism(self):
         cfg = parse_config(SMALL)
         a, b = run_single(cfg, 1), run_single(cfg, 1)
-        assert a.gen_rows == b.gen_rows
-        assert a.lineage == b.lineage
-        assert np.array_equal(a.evaluated_ts, b.evaluated_ts)
+        assert a.telemetry.tobytes() == b.telemetry.tobytes()
+        assert a.lineage.tobytes() == b.lineage.tobytes()
+        assert a.evaluated_ts.tobytes() == b.evaluated_ts.tobytes()
 
     def test_evaluated_count_matches_budget(self):
         cfg = parse_config(SMALL)
@@ -279,7 +301,7 @@ class TestRunSingle:
             "archive.kind = unstructured_bounded\narchive.max_size = 50\n"
         )
         tel = run_single(cfg, 0)
-        sizes = [r.archive_size for r in tel.gen_rows]
+        sizes = tel.telemetry["archive_size"].tolist()
         assert sizes[0] == 6
         assert max(sizes) == 50
 
@@ -288,7 +310,7 @@ class TestRunSingle:
             "scenario = Custom\nevolution.g_max = 20\nruns = 1\narchive.kind = grid\n"
         )
         tel = run_single(cfg, 0)
-        occ = [r.grid_occupied for r in tel.gen_rows]
+        occ = tel.telemetry["grid_occupied"].tolist()
         assert occ == sorted(occ)
         assert occ[-1] > 0
         assert tel.final_archive
@@ -351,9 +373,8 @@ class TestBatchArtifacts:
         path = tmp_path / "t.csv"
         write_run_telemetry(cfg, tel, path)
         _, columns = read_telemetry(path)
-        assert list(columns.dtype.names) == TELEMETRY_COLUMNS
-        for name, values in zip(TELEMETRY_COLUMNS, zip(*tel.gen_rows)):
-            assert_same_bits(columns[name], values)
+        assert columns.dtype == tel.telemetry.dtype
+        assert columns.tobytes() == tel.telemetry.tobytes()
 
     def test_lineage_round_trip(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -361,9 +382,12 @@ class TestBatchArtifacts:
         path = tmp_path / "l.csv"
         write_run_lineage(cfg, tel, path)
         _, columns = read_lineage(path)
-        assert list(columns.dtype.names) == LINEAGE_COLUMNS
-        for name, values in zip(LINEAGE_COLUMNS, zip(*tel.lineage)):
-            assert_same_bits(columns[name], values)
+        assert columns.dtype == tel.lineage.dtype
+        assert columns.tobytes() == tel.lineage.tobytes()
+
+    def test_lineage_table_follows_the_log_records(self):
+        # run_single builds the lineage table positionally from LineageEntry records.
+        assert LineageEntry._fields == LINEAGE_DTYPE.names
 
     def test_reader_rejects_wrong_file_kind(self, tmp_path):
         cfg = parse_config(SMALL)
@@ -500,8 +524,9 @@ class TestSvg:
 )
 def test_generation_loop_builds_no_records(items, monkeypatch):
     # Records are built only where the state is read from outside the loop
-    # (the final population and archive), never per generation.
+    # (the final archive), never per generation.
     from spiralns import BehaviorPoint, Genotype, Individual, experiments
+    from spiralns.archives import N_ROWS, to_records
 
     built = []
     for cls in (Individual, Genotype, BehaviorPoint):
@@ -520,6 +545,8 @@ def test_generation_loop_builds_no_records(items, monkeypatch):
 
     monkeypatch.setattr(experiments, "step_generation", marked)
     config = experiments.config_from_items({**items, "evolution.g_max": "20", "runs": "1"})
-    tel = run_single(config)
+    run_single(config)
     assert len(marks) == 40 and len(set(marks)) == 1
-    assert tel.final_population and len(built) > marks[-1]  # the counter is live
+    before = len(built)
+    to_records(np.zeros((N_ROWS, 1)))
+    assert len(built) == before + 3  # the counter is live

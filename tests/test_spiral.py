@@ -17,7 +17,6 @@ from spiralns import (
     SpiralParams,
     arc_length,
     arc_length_from_origin,
-    clamp_genotype,
     euclidean_distance,
     genotype_at_curve_parameter,
     genotype_bounds,
@@ -168,14 +167,6 @@ class TestGenotypeMapping:
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
             map_genotype(Genotype(-0.5, GenotypeSpace.ANGLE), PARAMS)
-
-    def test_clamp(self):
-        g = clamp_genotype(Genotype(-3.0, GenotypeSpace.ANGLE), PARAMS)
-        assert g.value == 0.0 and g.space is GenotypeSpace.ANGLE
-        g = clamp_genotype(Genotype(1e9, GenotypeSpace.ARC_LENGTH), PARAMS)
-        assert g.value == PARAMS.s_max
-        g = clamp_genotype(Genotype(1.5, GenotypeSpace.ANGLE), PARAMS)
-        assert g.value == 1.5
 
     def test_genotype_at_curve_parameter(self):
         for space in GenotypeSpace:
