@@ -118,6 +118,13 @@ class _Rows:
         self._data = np.empty((N_ROWS, max(64, 2 * n)))
         self._data[:, :n] = cols
         self._n = n
+        # Novelty scoring keeps an index over the columns [0, settled) in
+        # `index` (see evolution).  `stale` holds the settled columns whose
+        # coordinates were overwritten since; columns past `settled` were
+        # appended since.  A delete shifts columns, so it drops the index.
+        self.index = None
+        self.settled = 0
+        self.stale = set()
 
     def __len__(self):
         return self._n
@@ -132,12 +139,20 @@ class _Rows:
         self._data[:, self._n : self._n + k] = cols.reshape(N_ROWS, k)
         self._n += k
 
-    def put(self, i, col, row=slice(None)):
-        self._data[row, i] = col
+    def put(self, i: int, col: np.ndarray):
+        """Overwrite column i with col (shape (N_ROWS,))."""
+        self._data[:, i] = col
+        if i < self.settled:
+            self.stale.add(i)
+
+    def put_etas(self, cols: np.ndarray, etas: np.ndarray):
+        """Overwrite the ETA row of the given columns; coordinates are kept."""
+        self._data[ETA, cols] = etas
 
     def delete(self, i: int):
         self._data[:, i : self._n - 1] = self._data[:, i + 1 : self._n]
         self._n -= 1
+        self.index, self.settled, self.stale = None, 0, set()
 
     def view(self) -> np.ndarray:
         rows = self._data[:, : self._n]
@@ -244,7 +259,7 @@ class GridArchive(_Archive):
         new occupant's score.
         """
         held = self._rows.view()[ID, slots] == ids
-        self._rows.put(slots[held], etas[held], ETA)
+        self._rows.put_etas(slots[held], etas[held])
 
 
 def sample_parents(

@@ -171,19 +171,30 @@ def mutate(values: np.ndarray, space: GenotypeSpace, sigma: float, rng, params) 
 
 
 # Candidate count above which scoring queries a k-d tree instead of filling a
-# dense pool x candidates matrix.  Measured with a 60-point pool, k = 10 and
-# candidates spread along the spiral, on a 2-CPU x86-64 host: the two tie
-# near 360 candidates; at 460 the tree takes 0.21 ms against 0.51 ms dense
-# (Euclidean), and geodesic scoring, which skips the square root, gains
-# from the tree from about 560 candidates on.
+# dense pool x candidates matrix.  Measured on the pools and archives of
+# 60-member runs on a 2-CPU x86-64 host.  With the archive's tree kept across
+# generations, the tree wins from about 300 candidates (euclidean) and from
+# about 800 (geodesic, whose dense distances skip the square root).  A tree
+# rebuilt every generation, as on a bounded archive, ties near 360
+# (euclidean) and 560 (geodesic).
 TREE_CROSSOVER = 400
 
-# Relative gap the tree's (k+2)-th neighbor distance must keep above its
-# (k+1)-th before the tree's choice of neighbors is trusted.  Tree distances
+# Archive entries appended or overwritten since the archive's k-d tree was
+# built, past which the tree is built again.  Until then they are scored
+# densely, with the pool.
+_REBUILD_AT = 48
+
+# Relative gap a row's k-th distance must keep below the tree's last returned
+# distance before the tree's choice of candidates is trusted.  Tree distances
 # differ from the dense formula by a few ulp at most, far inside this gap.
 _TIE_MARGIN = 1e-9
 
 _NO_POINTS = np.empty((3, 0))
+
+
+def _coordinates(cols: np.ndarray, metric: Metric) -> np.ndarray:
+    """The rows of cols the metric reads (rows as in `archives`)."""
+    return cols[ARC : ARC + 1] if metric is Metric.GEODESIC else cols[X : Y + 1]
 
 
 def _distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
@@ -217,38 +228,60 @@ def _dense_novelty(
     return _mean_ascending(nearest)
 
 
-def _tree_novelty(
-    points: np.ndarray, n_pool: int, k_eff: int, metric: Metric
-) -> np.ndarray:
-    """Score the first n_pool columns of points through a k-d tree.
-
-    A row is trusted when its subject is among the tree's k_eff+1 nearest
-    and the next neighbor lies clearly farther out: then the k_eff nearest
-    others are the same candidates under the dense formula, whose distances
-    are recomputed here.  Coincident clones and near-ties at the k-th
-    neighbor fall back to the dense routine, so every score is bit-identical
-    to the dense path's.
-    """
+def _kd_tree(points: np.ndarray):
     # scipy.spatial takes a large share of a second to import; only large
-    # pools need it.
+    # pools and archives need it.  The tree keeps its own copy of the points,
+    # so later writes to an archive's storage cannot reach it.
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(points.T, balanced_tree=False, compact_nodes=False)
-    dist, idx = tree.query(points[:, :n_pool].T, k=k_eff + 2)
-    head = idx[:, : k_eff + 1]
-    is_self = head == np.arange(n_pool)[:, None]
-    safe = is_self.any(axis=1) & (
-        dist[:, k_eff + 1] > dist[:, k_eff] * (1.0 + _TIE_MARGIN)
-    )
-    scores = np.empty(n_pool)
-    safe_rows = np.flatnonzero(safe)
-    others = head[safe][~is_self[safe]].reshape(-1, k_eff)
-    nearest = _distance(points[:, safe_rows, None], points[:, others], metric)
+    return cKDTree(points.T, balanced_tree=False, compact_nodes=False, copy_data=True)
+
+
+def _tree_query(
+    tree, points: np.ndarray, subjects: np.ndarray, k_eff: int, metric: Metric,
+    bound: float = np.inf,
+):
+    """The tree's k_eff + 2 nearest columns of points to each subject column,
+    among those closer than bound.
+
+    Returns their dense-formula distances (inf for missing ones) and column
+    indices, and the tree's last returned distance per subject.  That is inf
+    where the tree returned fewer than k_eff + 2: it left out no point
+    closer than the bound, which a caller sets past each subject's k-th
+    distance.
+    """
+    n, size = subjects.shape[1], points.shape[1]
+    k_query = min(k_eff + 2, size)
+    dist, idx = tree.query(subjects.T, k=k_query, distance_upper_bound=bound)
+    dist, idx = dist.reshape(n, k_query), idx.reshape(n, k_query)
+    # Missing neighbors carry index `size`; clip them in, then drop them.
+    near = _distance(subjects[:, :, None], points.take(idx, axis=1, mode="clip"), metric)
+    near[dist == np.inf] = np.inf
+    last = dist[:, -1] if k_query < size else np.full(n, np.inf)
+    return near, idx, last
+
+
+def _merged_novelty(
+    near: np.ndarray, last: np.ndarray, k_eff: int, metric: Metric, *points: np.ndarray
+) -> np.ndarray:
+    """Scores of the first len(near) columns of the points (the concatenated
+    parts) from their candidates.
+
+    Each row of near holds dense-formula distances to a subject's tree
+    candidates and to the points scored outside the tree, with excluded
+    candidates at inf.  A row is trusted when its k-th distance lies clearly
+    inside the tree's last returned distance: every point the tree left out
+    is then farther than the k-th and cannot change the sum.  Other rows
+    take the dense routine, so every score is bit-identical to the dense
+    path's.
+    """
+    nearest = np.partition(near, k_eff - 1, axis=1)[:, :k_eff]
     nearest.sort(axis=1)
-    scores[safe_rows] = _mean_ascending(nearest)
-    unsafe = np.flatnonzero(~safe)
-    if unsafe.size:
-        scores[unsafe] = _dense_novelty(points, unsafe, k_eff, metric)
+    scores = _mean_ascending(nearest)
+    untrusted = np.flatnonzero(~(nearest[:, -1] < last * (1.0 - _TIE_MARGIN)))
+    if untrusted.size:
+        points = np.concatenate(points, axis=1)
+        scores[untrusted] = _dense_novelty(points, untrusted, k_eff, metric)
     return scores
 
 
@@ -258,20 +291,71 @@ def _pool_novelty(
     """Score every pool member against pool + archive, excluding itself.
 
     Both arguments hold x, y and arc_pos rows.  Up to TREE_CROSSOVER
-    candidates the distances fill a dense matrix; above it a k-d tree picks
-    the neighbors.  Both paths give bit-identical scores.
+    candidates the distances fill a dense matrix; above it a k-d tree over
+    all of them picks the neighbors.  Both paths give bit-identical scores.
     """
-    points = np.concatenate((pool, archive), axis=1)
-    points = points[2:] if metric is Metric.GEODESIC else points[:2]
+    points = _coordinates(np.concatenate((pool, archive), axis=1), metric)
     n_pool = pool.shape[1]
     n = points.shape[1]
     k_eff = min(k, n - 1)
     if k_eff < 1:
         return np.zeros(n_pool)
-    # The tree path reads k_eff + 2 neighbors, so it needs that many points.
-    if n <= TREE_CROSSOVER or k_eff + 2 > n:
+    if n <= TREE_CROSSOVER:
         return _dense_novelty(points, np.arange(n_pool), k_eff, metric)
-    return _tree_novelty(points, n_pool, k_eff, metric)
+    near, idx, last = _tree_query(_kd_tree(points), points, points[:, :n_pool], k_eff, metric)
+    near[idx == np.arange(n_pool)[:, None]] = np.inf  # no subject is its own neighbor
+    return _merged_novelty(near, last, k_eff, metric, points)
+
+
+def _settled_tree(rows, metric: Metric):
+    """The archive's k-d tree over its settled entries.
+
+    It is built again when a delete dropped it, or when the entries
+    appended or overwritten since the last build pass _REBUILD_AT.
+    """
+    unsettled = len(rows) - rows.settled + len(rows.stale)
+    if rows.index is None or rows.index[0] is not metric or unsettled > _REBUILD_AT:
+        rows.index = (metric, _kd_tree(_coordinates(rows.view(), metric)))
+        rows.settled, rows.stale = len(rows), set()
+    return rows.index[1]
+
+
+def _archive_novelty(pool: np.ndarray, rows, k: int, metric: Metric) -> np.ndarray:
+    """Score every pool column against pool + archive, excluding itself.
+
+    rows is the archive's storage (`archives._Rows`).  The pool is scored
+    against the archive's settled entries through a k-d tree kept across
+    generations, and densely against itself, the entries appended since the
+    tree was built and the current occupants of overwritten (stale) slots;
+    the tree's candidates in stale slots are dropped.  The scores are
+    bit-identical to _pool_novelty over the same points.
+    """
+    n_pool = pool.shape[1]
+    if not n_pool <= TREE_CROSSOVER < n_pool + len(rows):
+        return _pool_novelty(pool[: ARC + 1], rows.view()[: ARC + 1], k, metric)
+    k_eff = min(k, n_pool + len(rows) - 1)
+    subjects = _coordinates(pool, metric)
+    coords = _coordinates(rows.view(), metric)
+    tree = _settled_tree(rows, metric)
+    settled = rows.settled
+    stale = np.fromiter(rows.stale, np.intp, len(rows.stale))
+
+    others = np.concatenate((subjects, coords[:, settled:], coords[:, stale]), axis=1)
+    dense = _distance(subjects[:, :, None], others[:, None, :], metric)
+    dense[np.arange(n_pool), np.arange(n_pool)] = np.inf
+    bound = np.inf
+    if dense.shape[1] >= k_eff:
+        # Only tree points inside every row's k-th dense distance can count;
+        # the slack keeps ulp-level differences of the tree's arithmetic out.
+        dense = np.partition(dense, k_eff - 1, axis=1)[:, :k_eff]
+        bound = dense.max() * (1.0 + 2.0 * _TIE_MARGIN)
+    near, idx, last = _tree_query(tree, coords[:, :settled], subjects, k_eff, metric, bound)
+    if stale.size:
+        dropped = np.zeros(settled, dtype=bool)
+        dropped[stale] = True
+        near[dropped[idx.clip(max=settled - 1)]] = np.inf
+    near = np.concatenate((dense, near), axis=1)
+    return _merged_novelty(near, last, k_eff, metric, subjects, coords)
 
 
 def step_generation(
@@ -302,8 +386,10 @@ def step_generation(
     state.next_id += kids.shape[1]
 
     pool = np.concatenate((population, kids), axis=1)
-    archive_points = archive.coords() if archive is not None else _NO_POINTS
-    pool[NOVELTY] = _pool_novelty(pool[: ARC + 1], archive_points, config.k, config.metric)
+    if archive is None:
+        pool[NOVELTY] = _pool_novelty(pool[: ARC + 1], _NO_POINTS, config.k, config.metric)
+    else:
+        pool[NOVELTY] = _archive_novelty(pool, archive._rows, config.k, config.metric)
 
     # Elitist truncation; ties go to the newer individual, then the lower id.
     survivors = np.lexsort((pool[ID], -pool[BIRTH_GEN], -pool[NOVELTY]))[: config.pop_size]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiralns import (
     EvolutionConfig,
@@ -19,8 +21,10 @@ from spiralns import (
     spiral_point,
     step_generation,
 )
+from spiralns import evolution
+from spiralns.archives import ETA, N_ROWS, _Rows
 from spiralns.evolution import TREE_CROSSOVER, Individual, _pool_novelty
-from spiralns.spiral import BehaviorPoint
+from spiralns.spiral import BehaviorPoint, map_genotypes
 
 from helpers import to_columns, unstructured_archive
 
@@ -318,6 +322,140 @@ class TestPoolNovelty:
         arch = [at(1000 + i, arc=5000.0 + i) for i in range(TREE_CROSSOVER)]
         for k in (9, 10, 11):
             self.check(pool, arch, k, Metric.GEODESIC)
+
+
+def spiral_columns(ts) -> np.ndarray:
+    """Columns of points at the given angles (clipped onto the spiral), rows
+    as in `archives`."""
+    ts = np.clip(np.asarray(ts, dtype=float), 0.0, PARAMS.t_max)
+    cols = np.zeros((N_ROWS, len(ts)))
+    cols[:4] = map_genotypes(ts, GenotypeSpace.ANGLE, PARAMS)
+    return cols
+
+
+def dense_scores(pool, rows, k, metric):
+    """The dense routine over pool + archive: the oracle the index must equal."""
+    points = evolution._coordinates(np.concatenate((pool, rows.view()), axis=1), metric)
+    k_eff = min(k, points.shape[1] - 1)
+    return evolution._dense_novelty(points, np.arange(pool.shape[1]), k_eff, metric)
+
+
+def assert_bit_equal(pool, rows, k, metric):
+    got = evolution._archive_novelty(pool, rows, k, metric)
+    want = dense_scores(pool, rows, k, metric)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# One archive change: what it does, and a seed for where and with what.
+ARCHIVE_OPS = st.tuples(
+    st.sampled_from(["append", "append_copies", "retake", "retake_tail", "etas", "evict"]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestArchiveIndex:
+    """Scores through the archive's persistent k-d tree equal the dense
+    routine's bit for bit, whatever changed in the archive since the build."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(ARCHIVE_OPS, min_size=1, max_size=40),
+        metric=st.sampled_from(list(Metric)),
+        k=st.sampled_from([1, 10, 15, 2000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_dense_routine_after_every_change(self, ops, metric, k, seed):
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(5.0, PARAMS.t_max - 5.0)
+        rows = _Rows(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
+        pool = spiral_columns(center + rng.normal(0.0, 1.0, 60))
+        assert_bit_equal(pool, rows, k, metric)
+        for op, op_seed in ops:
+            r = np.random.default_rng(op_seed)
+            if op == "append":
+                rows.append(spiral_columns(center + r.normal(0.0, 2.0, r.integers(1, 9))))
+            elif op == "append_copies":  # coincident with archive entries or the pool
+                source = rows.view() if r.random() < 0.5 else pool
+                rows.append(source[:, r.integers(source.shape[1], size=r.integers(1, 9))])
+            elif op == "retake":
+                rows.put(int(r.integers(len(rows))), spiral_columns([center + r.normal()])[:, 0])
+            elif op == "retake_tail" and rows.settled < len(rows):
+                slot = int(r.integers(rows.settled, len(rows)))
+                rows.put(slot, spiral_columns([center + r.normal()])[:, 0])
+                assert slot not in rows.stale
+            elif op == "etas":
+                stale = set(rows.stale)
+                rows.put_etas(r.integers(len(rows), size=5), r.random(5))
+                assert rows.stale == stale
+            elif op == "evict":
+                rows.delete(int(r.integers(len(rows))))
+            pool = spiral_columns(center + r.normal(0.0, 1.0, 60))
+            assert_bit_equal(pool, rows, k, metric)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_thirty_coincident_generation_zero_clones(self, metric):
+        rng = np.random.default_rng(41)
+        t0 = 28 * math.pi
+        rows = _Rows(spiral_columns(t0 + rng.normal(0.0, 3.0, TREE_CROSSOVER)))
+        clones = spiral_columns(np.full(30, t0))
+        for spread in (0.0, 0.3):
+            pool = np.concatenate((clones, spiral_columns(t0 + rng.normal(0.0, spread, 30))), axis=1)
+            assert_bit_equal(pool, rows, 10, metric)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_more_neighbors_than_candidates(self, metric):
+        rng = np.random.default_rng(42)
+        rows = _Rows(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
+        for n_pool in (2, 11, 60):
+            pool = spiral_columns(rng.uniform(0.0, PARAMS.t_max, n_pool))
+            for k in (TREE_CROSSOVER - 20, TREE_CROSSOVER + n_pool - 1, 5000):
+                assert_bit_equal(pool, rows, k, metric)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_coincident_archive_copies_take_the_dense_fallback(self, metric, monkeypatch):
+        # Twenty copies of one point sit at the same distance from each pool
+        # member, so the k-th neighbor and the tree's last one tie exactly.
+        rng = np.random.default_rng(43)
+        far = spiral_columns(rng.uniform(0.0, 10.0, TREE_CROSSOVER))
+        copies = spiral_columns(np.full(20, 70.0))
+        rows = _Rows(np.concatenate((far, copies), axis=1))
+        pool = spiral_columns(np.linspace(60.0, 80.0, 60))
+        calls = []
+        dense = evolution._dense_novelty
+        monkeypatch.setattr(
+            evolution, "_dense_novelty", lambda p, r, *a: calls.append(len(r)) or dense(p, r, *a)
+        )
+        assert_bit_equal(pool, rows, 25, metric)
+        assert calls[0] > 0  # the index's own fallback ran before the oracle
+
+    def test_one_build_per_bound_of_changes(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        rows = _Rows(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
+        pool = spiral_columns(rng.uniform(0.0, PARAMS.t_max, 60))
+        builds = []
+        build = evolution._kd_tree
+        monkeypatch.setattr(evolution, "_kd_tree", lambda p: builds.append(p) or build(p))
+        appends = 3 * evolution._REBUILD_AT
+        for _ in range(appends):
+            rows.append(spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1)))
+            # Rewriting a slot still in the tail, or any slot's eta, adds no
+            # work for the next build.
+            rows.put(len(rows) - 1, spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1))[:, 0])
+            rows.put_etas(np.arange(5), np.ones(5))
+            assert not rows.stale
+            evolution._archive_novelty(pool, rows, 10, Metric.EUCLIDEAN)
+        assert len(builds) == 1 + appends // (evolution._REBUILD_AT + 1)
+
+    def test_an_eviction_drops_the_index(self):
+        rng = np.random.default_rng(45)
+        rows = _Rows(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
+        pool = spiral_columns(rng.uniform(0.0, PARAMS.t_max, 60))
+        evolution._archive_novelty(pool, rows, 10, Metric.EUCLIDEAN)
+        rows.put(3, rows.view()[:, 4].copy())
+        assert rows.index is not None and rows.stale == {3}
+        rows.delete(0)
+        assert rows.index is None and rows.settled == 0 and not rows.stale
+        assert_bit_equal(pool, rows, 10, Metric.EUCLIDEAN)
 
 
 class TestStepGeneration:

@@ -8,6 +8,12 @@ k + 2.  The archives of most of these grow past the size at which novelty
 scoring switches from dense distances to the k-d tree, so both scoring paths
 are pinned.
 
+Three scenarios are also pinned at full length, one run of 1000
+generations each: Fig3a (an unbounded archive of 6,000 entries), Fig3g (a
+bounded archive that evicts from generation 500 on) and Fig3l (a grid
+archive whose occupants are retaken).  Their runs rebuild the archive's
+scoring index many times over, which the short batches barely reach.
+
 A mismatch means a change altered the program's output, which an
 optimisation must not do.  Re-pin only for a deliberate format change, and
 record it in CHANGES.md:
@@ -95,6 +101,27 @@ def derived_digest(name: str) -> dict:
         return {filename: hashlib.sha256(fh.read()).hexdigest()}
 
 
+# Full-length runs, pinned under "<scenario>_g1000".  Their summary.csv is
+# not pinned: at this length its fit cells depend on the BLAS thread count
+# (ROADMAP, direction 1).
+FULL_LENGTH = ("Fig3a", "Fig3g", "Fig3l")
+UNPINNED_AT_FULL_LENGTH = ("summary.csv",)
+
+
+def full_length_digests(scenario: str) -> dict:
+    """sha256 of the files one full-length run of the scenario writes to ./out."""
+    run_batch(
+        config_from_items(
+            {"scenario": scenario, "runs": "1", "base_seed": "3", "output_dir": "out"}
+        )
+    )
+    digests = {}
+    for filename in sorted(set(os.listdir("out")) - set(UNPINNED_AT_FULL_LENGTH)):
+        with open(os.path.join("out", filename), "rb") as fh:
+            digests[filename] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
 def _pinned() -> dict:
     with open(DIGESTS_PATH) as fh:
         return json.load(fh)
@@ -121,8 +148,15 @@ def test_analysis_table_matches_pinned_digest(tmp_path, monkeypatch):
     assert derived_digest(ANALYSIS) == _pinned()[ANALYSIS]
 
 
+@pytest.mark.parametrize("scenario", FULL_LENGTH)
+def test_full_length_run_matches_pinned_digests(scenario, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert full_length_digests(scenario) == _pinned()[f"{scenario}_g1000"]
+
+
 def test_every_config_is_pinned():
-    assert sorted(_pinned()) == sorted([*CONFIGS, *DERIVED])
+    full = [f"{scenario}_g1000" for scenario in FULL_LENGTH]
+    assert sorted(_pinned()) == sorted([*CONFIGS, *DERIVED, *full])
 
 
 if __name__ == "__main__":
@@ -138,6 +172,10 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             pinned[name] = derived_digest(name)
+    for scenario in FULL_LENGTH:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            pinned[f"{scenario}_g1000"] = full_length_digests(scenario)
     with open(DIGESTS_PATH, "w") as fh:
         json.dump(pinned, fh, indent=1, sort_keys=True)
         fh.write("\n")
