@@ -167,13 +167,6 @@ class _Archive:
     def __len__(self):
         return len(self._rows)
 
-    def coords(self) -> np.ndarray:
-        """Read-only (3, len) view of the entries' x, y and arc_pos rows.
-
-        Columns follow individuals(); the view is valid until the next change.
-        """
-        return self._rows.view()[: ARC + 1]
-
 
 class UnstructuredArchive(_Archive):
     """Flat multiset of individuals with optional size bound and random eviction."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from spiralns import GenotypeSpace, UnstructuredArchive
-from spiralns.archives import N_ROWS
+from spiralns.archives import ARC, N_ROWS
 
 
 def to_columns(individuals) -> np.ndarray:
@@ -27,3 +27,9 @@ def unstructured_archive(members, **kwargs) -> UnstructuredArchive:
     archive = UnstructuredArchive(**kwargs)
     archive._rows.append(to_columns(members))
     return archive
+
+
+def coords(archive) -> np.ndarray:
+    """Read-only (3, len) view of the entries' x, y and arc_pos rows, the
+    rows novelty scoring reads; columns follow individuals()."""
+    return archive._rows.view()[: ARC + 1]

@@ -28,7 +28,7 @@ from spiralns.archives import ID
 from spiralns.evolution import Individual
 from spiralns.spiral import BehaviorPoint, arc_length_from_origin
 
-from helpers import to_columns, unstructured_archive
+from helpers import coords, to_columns, unstructured_archive
 
 PARAMS = SpiralParams()
 
@@ -119,13 +119,13 @@ class TestUnstructuredArchive:
         rng = np.random.default_rng(4)
         arch = unstructured_archive([ind(2.0, 7, eta=0.25)])
         arch.update(to_columns([ind(5.0, 0)]), rng)
-        before, coords = arch.individuals(), arch.coords().copy()
+        before, rows = arch.individuals(), coords(arch).copy()
         for record in arch.individuals():
             record.novelty = 123.0
             record.eta = 0.77
             record.arc_pos = -1.0
         assert arch.individuals() == before
-        assert np.array_equal(arch.coords(), coords)
+        assert np.array_equal(coords(arch), rows)
         assert [m.eta for m in arch.individuals()] == [0.25, 0.0]
 
     def test_storage_is_private(self):
@@ -240,7 +240,7 @@ def assert_occupants_in_their_cells(archive):
 
 
 def assert_coords_in_sync(archive):
-    rows = archive.coords()
+    rows = coords(archive)
     assert rows.shape == (3, len(archive))
     assert np.array_equal(rows, to_columns(archive.individuals())[:3])
 
@@ -253,15 +253,15 @@ class CheckedUnstructured(UnstructuredArchive):
 
 class CheckedGrid(GridArchive):
     def insert(self, candidate, rng):
-        before = self.coords().copy()
+        before = coords(self).copy()
         was_new = super().insert(candidate, rng)
-        if not was_new and not np.array_equal(self.coords(), before):
+        if not was_new and not np.array_equal(coords(self), before):
             self.replacements = getattr(self, "replacements", 0) + 1
         return was_new
 
 
 class TestCoordsStayInSync:
-    """coords() equals the rows rebuilt from individuals() after every generation."""
+    """The coordinate rows equal the rows rebuilt from individuals() after every generation."""
 
     def evolve(self, archive, sampling, generations=300):
         cfg = EvolutionConfig(seed=21)
@@ -298,7 +298,7 @@ class TestCoordsStayInSync:
     def test_coords_are_read_only(self):
         arch = unstructured_archive([ind(1.0, 0)])
         with pytest.raises(ValueError):
-            arch.coords()[0, 0] = 5.0
+            coords(arch)[0, 0] = 5.0
 
 
 def make_pop_and_archive(etas):

@@ -22,7 +22,7 @@ from spiralns import (
     step_generation,
 )
 from spiralns import evolution
-from spiralns.archives import ETA, N_ROWS, _Rows
+from spiralns.archives import N_ROWS, _Rows
 from spiralns.evolution import TREE_CROSSOVER, Individual, _pool_novelty
 from spiralns.spiral import BehaviorPoint, map_genotypes
 
@@ -413,20 +413,20 @@ class TestArchiveIndex:
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_coincident_archive_copies_take_the_dense_fallback(self, metric, monkeypatch):
-        # Twenty copies of one point sit at the same distance from each pool
-        # member, so the k-th neighbor and the tree's last one tie exactly.
+        # Forty archive copies of a pool member: the tree returns k + 2 of
+        # them, all at distance 0, so its last distance ties the k-th.
         rng = np.random.default_rng(43)
+        ts = np.linspace(60.0, 80.0, 60)
         far = spiral_columns(rng.uniform(0.0, 10.0, TREE_CROSSOVER))
-        copies = spiral_columns(np.full(20, 70.0))
-        rows = _Rows(np.concatenate((far, copies), axis=1))
-        pool = spiral_columns(np.linspace(60.0, 80.0, 60))
+        rows = _Rows(np.concatenate((far, spiral_columns(np.full(40, ts[30]))), axis=1))
+        pool = spiral_columns(ts)
         calls = []
         dense = evolution._dense_novelty
         monkeypatch.setattr(
             evolution, "_dense_novelty", lambda p, r, *a: calls.append(len(r)) or dense(p, r, *a)
         )
-        assert_bit_equal(pool, rows, 25, metric)
-        assert calls[0] > 0  # the index's own fallback ran before the oracle
+        assert_bit_equal(pool, rows, 10, metric)
+        assert len(calls) == 2  # the index's fallback, then the oracle
 
     def test_one_build_per_bound_of_changes(self, monkeypatch):
         rng = np.random.default_rng(44)
