@@ -23,7 +23,9 @@ __all__ = [
     "Phase",
     "CoverageReport",
     "CoverageAccumulator",
+    "coverage_bins",
     "median",
+    "medians",
     "fit_damped_oscillator",
     "segment_phases",
 ]
@@ -61,16 +63,23 @@ class CoverageReport:
     fraction: float
 
 
+def medians(rows: np.ndarray) -> np.ndarray:
+    """The median of each row's non-NaN entries: the middle one, or the mean
+    of the middle two for even counts, and 0.0 where there are none.
+
+    The stable sort keeps equal values (0.0 and -0.0) in row order, so each
+    result is the one a sort of the row's values as Python floats gives.
+    """
+    ordered = np.sort(rows, axis=1, kind="stable")  # NaN sorts last
+    n = np.count_nonzero(~np.isnan(rows), axis=1)
+    at, mid = np.arange(len(rows)), n // 2
+    hi, lo = ordered[at, mid], ordered[at, (mid - 1).clip(min=0)]
+    return np.where(n % 2, hi, np.where(n, (lo + hi) / 2.0, 0.0))
+
+
 def median(values: Sequence[float]) -> float:
-    """Sort-based median, mean of the middle two for even counts, 0.0 if empty."""
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        return 0.0
-    mid = n // 2
-    if n % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+    """The median of the non-NaN values as in `medians`, 0.0 if there are none."""
+    return medians(np.asarray(values, float).reshape(1, -1))[0].item() if len(values) else 0.0
 
 
 def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
@@ -165,9 +174,11 @@ def fit_damped_oscillator(H: Sequence[float]) -> OscillatorFit:
 
 
 def _moving_median(H: Sequence[float], window: int) -> list:
+    # Windows shrink at the ends of H: the NaN padding counts for nothing.
+    # The extra pad on the right keeps one window even for an empty H.
     half = window // 2
-    n = len(H)
-    return [median(H[max(0, i - half) : min(n, i + half + 1)]) for i in range(n)]
+    padded = np.pad(np.asarray(H, float), (half, half + 1), constant_values=np.nan)
+    return medians(np.lib.stride_tricks.sliding_window_view(padded, window))[: len(H)].tolist()
 
 
 def segment_phases(H: Sequence[float], window: int = 11) -> list:
@@ -200,6 +211,13 @@ def segment_phases(H: Sequence[float], window: int = 11) -> list:
     return phases
 
 
+def coverage_bins(ts, params: SpiralParams, bins: int) -> np.ndarray:
+    """Index of the equal arc-length bin of each curve parameter, elementwise."""
+    arcs = arc_lengths_from_origin(ts, params)
+    idx = np.floor(bins * arcs / params.s_max).astype(int)
+    return np.clip(idx, 0, bins - 1, out=idx)
+
+
 class CoverageAccumulator:
     """Incremental coverage over equal arc-length bins of the whole curve."""
 
@@ -212,13 +230,7 @@ class CoverageAccumulator:
 
     def add_parameters(self, ts) -> None:
         """Mark the bins hit by behaviors at these curve parameters."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if ts.size == 0:
-            return
-        arcs = arc_lengths_from_origin(ts, self.params)
-        idx = np.floor(self.bins * arcs / self.params.s_max).astype(int)
-        np.clip(idx, 0, self.bins - 1, out=idx)
-        self.covered[idx] = True
+        self.covered[coverage_bins(np.atleast_1d(ts), self.params, self.bins)] = True
 
     @property
     def fraction(self) -> float:

@@ -14,6 +14,8 @@ whatever its size.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -70,6 +72,39 @@ class LineageEntry(NamedTuple):
     parent_t: float
 
 
+class LineageLog(Sequence):
+    """The run's LineageEntry records, one per offspring in birth order.
+
+    step_generation appends one (5, n) float block per generation, whose
+    rows are the entry fields.  Records are built only for the entries a
+    reader indexes or slices.
+    """
+
+    def __init__(self):
+        self.blocks, self._ends = [], [0]  # _ends: entries before each block, then all
+
+    def append(self, block: np.ndarray):
+        self.blocks.append(block)
+        self._ends.append(self._ends[-1] + block.shape[1])
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, i):
+        picks = range(len(self))[i]
+        if isinstance(picks, int):
+            return self[picks : picks + 1][0]
+        if not picks:
+            return []
+        lo, hi = min(picks), max(picks) + 1
+        first, last = bisect_right(self._ends, lo) - 1, bisect_left(self._ends, hi)
+        start = lo - self._ends[first]
+        cols = np.concatenate(self.blocks[first:last], axis=1)[:, start : start + hi - lo]
+        ids = cols[:3].astype(np.int64).tolist()
+        entries = list(map(LineageEntry, *ids, *cols[3:].tolist()))
+        return entries[picks.start - lo :: picks.step]
+
+
 @dataclass
 class EvolutionConfig:
     pop_size: int = 30
@@ -118,7 +153,7 @@ class EvolutionState:
     columns: np.ndarray  # the population, one individual per column
     archive: object  # None, UnstructuredArchive or GridArchive
     rng: np.random.Generator
-    lineage_log: list = field(default_factory=list)
+    lineage_log: LineageLog = field(default_factory=LineageLog)
     next_id: int = 0
 
     @property
@@ -399,11 +434,11 @@ def step_generation(
     elif isinstance(archive, GridArchive):
         kappas = [archive.insert(pool[:, j], rng) for j in range(m, pool.shape[1])]
 
-    child_ids = kids[ID].astype(np.int64).tolist()
-    parent_ids = parents[ID].astype(np.int64).tolist()
-    child_t, parent_t = kids[T].tolist(), parents[T].tolist()
-    rows = zip([g_next] * len(child_t), child_ids, parent_ids, child_t, parent_t)
-    state.lineage_log.extend(map(LineageEntry._make, rows))
+    block = np.empty((5, kids.shape[1]))  # rows as the LineageEntry fields
+    block[0] = g_next
+    block[1::2] = kids[[ID, T]]
+    block[2::2] = parents[[ID, T]]
+    state.lineage_log.append(block)
 
     if guided:
         # The parent pool of this generation: the pre-selection population

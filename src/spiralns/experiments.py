@@ -28,8 +28,9 @@ from .analysis import (
     CoverageAccumulator,
     CoverageReport,
     MIN_FIT_SAMPLES,
+    coverage_bins,
     fit_damped_oscillator,
-    median,
+    medians,
     segment_phases,
 )
 from .archives import (
@@ -470,7 +471,8 @@ TELEMETRY_DTYPE = np.dtype(
     [("generation", np.int64), ("coverage_fraction", np.float64), ("median_delta", np.float64),
      ("archive_size", np.int64), ("grid_occupied", np.int64), ("max_novelty", np.float64)]
 )
-# Built positionally from LineageEntry records, so the fields follow them.
+# Built from the rows of the lineage log's blocks, which follow the
+# LineageEntry fields.
 LINEAGE_DTYPE = np.dtype(
     [("generation", np.int64), ("child_id", np.int64), ("parent_id", np.int64),
      ("child_t", np.float64), ("parent_t", np.float64)]
@@ -520,37 +522,40 @@ def run_single(config: ExperimentConfig, run_index: int = 0) -> RunTelemetry:
     evo = replace(config.evolution, seed=seed)
     state = init_population(evo, config.spiral, archive=_build_archive(config))
 
-    acc = CoverageAccumulator(config.spiral, COVERAGE_BINS)
-    init_ts = np.full(evo.pop_size, evo.init_t0)
-    acc.add_parameters(init_ts)
+    deltas = np.empty((evo.g_max, evo.pop_size))  # the survivors' birth deltas
+    sizes, max_novelty = [], []
+    for g in range(evo.g_max):
+        step_generation(state, evo, config.sampling)
+        deltas[g] = state.columns[BIRTH_DELTA]
+        sizes.append(len(state.archive) if state.archive is not None else 0)
+        max_novelty.append(state.columns[NOVELTY].max())
+
+    lineage = np.empty(len(state.lineage_log), LINEAGE_DTYPE)
+    for name, column in zip(LINEAGE_DTYPE.names, np.concatenate(state.lineage_log.blocks, 1)):
+        lineage[name] = column
+    evaluated_ts = np.concatenate((np.full(evo.pop_size, evo.init_t0), lineage["child_t"]))
 
     table = np.empty(evo.g_max, TELEMETRY_DTYPE)
-    grid = isinstance(state.archive, GridArchive)
-    for g in range(1, evo.g_max + 1):
-        seen = len(state.lineage_log)
-        step_generation(state, evo, config.sampling)
-        acc.add_parameters([e.child_t for e in state.lineage_log[seen:]])
-
-        deltas = state.columns[BIRTH_DELTA]
-        archive_size = len(state.archive) if state.archive is not None else 0
-        table[g - 1] = (
-            g,
-            acc.fraction,
-            median(deltas[~np.isnan(deltas)].tolist()),
-            archive_size,
-            archive_size if grid else 0,
-            state.columns[NOVELTY].max(),
-        )
+    table["generation"] = np.arange(1, evo.g_max + 1)
+    # The first generation to hit each bin; unhit bins count past the run.
+    first_hit = np.full(COVERAGE_BINS, evo.g_max + 1)
+    born = np.concatenate((np.zeros(evo.pop_size, np.int64), lineage["generation"]))
+    np.minimum.at(first_hit, coverage_bins(evaluated_ts, config.spiral, COVERAGE_BINS), born)
+    hits = np.bincount(first_hit, minlength=evo.g_max + 2).cumsum()
+    table["coverage_fraction"] = hits[1 : evo.g_max + 1] / COVERAGE_BINS
+    table["median_delta"] = medians(deltas)
+    table["archive_size"] = sizes
+    table["grid_occupied"] = sizes if isinstance(state.archive, GridArchive) else 0
+    table["max_novelty"] = max_novelty
 
     final_archive = state.archive.individuals() if state.archive is not None else []
-    lineage = np.array(state.lineage_log, LINEAGE_DTYPE)
     return RunTelemetry(
         run_index=run_index,
         seed=seed,
         telemetry=table,
         lineage=lineage,
         final_archive=final_archive,
-        evaluated_ts=np.concatenate((init_ts, lineage["child_t"])),
+        evaluated_ts=evaluated_ts,
     )
 
 
