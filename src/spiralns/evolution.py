@@ -77,11 +77,12 @@ class LineageLog(Sequence):
 
     step_generation appends one (5, n) float block per generation, whose
     rows are the entry fields.  Records are built only for the entries a
-    reader indexes or slices.
+    reader indexes, slices or iterates over.
     """
 
     def __init__(self):
-        self.blocks, self._ends = [], [0]  # _ends: entries before each block, then all
+        self.blocks = []
+        self._ends = [0]  # entries before each block, then the total
 
     def append(self, block: np.ndarray):
         self.blocks.append(block)
@@ -89,6 +90,9 @@ class LineageLog(Sequence):
 
     def __len__(self) -> int:
         return self._ends[-1]
+
+    def __iter__(self):
+        return iter(self[:])  # one pass over the blocks, not one per record
 
     def __getitem__(self, i):
         picks = range(len(self))[i]
@@ -434,7 +438,9 @@ def step_generation(
     elif isinstance(archive, GridArchive):
         kappas = [archive.insert(pool[:, j], rng) for j in range(m, pool.shape[1])]
 
-    block = np.empty((5, kids.shape[1]))  # rows as the LineageEntry fields
+    # Rows as the LineageEntry fields: generation, child id, parent id,
+    # child t, parent t.
+    block = np.empty((5, kids.shape[1]))
     block[0] = g_next
     block[1::2] = kids[[ID, T]]
     block[2::2] = parents[[ID, T]]

@@ -33,3 +33,16 @@ def coords(archive) -> np.ndarray:
     """Read-only (3, len) view of the entries' x, y and arc_pos rows, the
     rows novelty scoring reads; columns follow individuals()."""
     return archive._rows.view()[: ARC + 1]
+
+
+def scalar_median(values) -> float:
+    """Sort-based median of a list, mean of the middle two for even counts,
+    0.0 if empty: the per-generation rule `analysis.medians` must match."""
+    ordered = sorted(values)
+    n = len(ordered)
+    if n == 0:
+        return 0.0
+    mid = n // 2
+    if n % 2:
+        return float(ordered[mid])
+    return (ordered[mid - 1] + ordered[mid]) / 2.0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiralns import (
     CoverageAccumulator,
@@ -13,8 +15,10 @@ from spiralns import (
     fit_damped_oscillator,
     segment_phases,
 )
-from spiralns.analysis import median
-from spiralns.spiral import arc_length_from_origin
+from spiralns.analysis import _moving_median, coverage_bins, median, medians
+from spiralns.spiral import arc_length_from_origin, arc_lengths_from_origin
+
+from helpers import scalar_median
 
 PARAMS = SpiralParams()
 
@@ -41,6 +45,37 @@ class TestMedian:
 
     def test_empty_is_zero(self):
         assert median([]) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.sampled_from([0.0, -0.0, 1.5, -1.5, math.nan]) | st.floats(-1e3, 1e3),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_row_medians_follow_the_scalar_rule(self, rows):
+        # Bit for bit, signed zeros and rows of NaN only (median 0.0) included.
+        got = medians(np.array(rows))
+        want = [scalar_median([v for v in row if not math.isnan(v)]) for row in rows]
+        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 2.0, -2.0]) | st.floats(-5, 5), max_size=40),
+        st.sampled_from([1, 3, 5, 11]),
+    )
+    def test_moving_median_matches_windowed_scalar_medians(self, H, window):
+        half, n = window // 2, len(H)
+        want = [scalar_median(H[max(0, i - half) : min(n, i + half + 1)]) for i in range(n)]
+        got = _moving_median(H, window)
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
 def model(g, A, lam, om, phi, c):
@@ -185,3 +220,27 @@ class TestCoverage:
     def test_invalid_bin_count(self):
         with pytest.raises(ValueError):
             coverage([], bins=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([0.0, PARAMS.t_max]) | st.floats(0.0, PARAMS.t_max),
+                min_size=1,
+                max_size=17,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_bins_of_a_concatenation_equal_the_chunks(self, chunks):
+        # A run bins all its curve parameters in one call; fed generation by
+        # generation, the same values went through one call per chunk.  The
+        # chunk lengths cross SIMD widths, so every lane position is tried.
+        whole = np.concatenate([np.array(c) for c in chunks])
+        arcs = np.concatenate([arc_lengths_from_origin(np.array(c), PARAMS) for c in chunks])
+        bins = np.concatenate([coverage_bins(np.array(c), PARAMS, 100) for c in chunks])
+        assert arc_lengths_from_origin(whole, PARAMS).view(np.int64).tolist() == (
+            arcs.view(np.int64).tolist()
+        )
+        assert coverage_bins(whole, PARAMS, 100).tolist() == bins.tolist()

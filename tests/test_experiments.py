@@ -29,15 +29,20 @@ from spiralns import (
     run_single,
     step_generation,
 )
+from spiralns.analysis import CoverageAccumulator
+from spiralns.archives import BIRTH_DELTA, NOVELTY, GridArchive
 from spiralns.cli import _collect_items, build_parser
 from spiralns.evolution import LineageEntry
 from spiralns.experiments import (
     CONFIG_KEYS,
+    COVERAGE_BINS,
     LINEAGE_COLUMNS,
     LINEAGE_DTYPE,
     SCENARIO_PINS,
     SUMMARY_COLUMNS,
     TELEMETRY_COLUMNS,
+    TELEMETRY_DTYPE,
+    _build_archive,
     config_from_items,
     read_lineage,
     read_telemetry,
@@ -46,6 +51,8 @@ from spiralns.experiments import (
     write_run_telemetry,
 )
 from spiralns.svgplot import emit_svg
+
+from helpers import scalar_median
 
 PARAMS = SpiralParams()
 
@@ -316,6 +323,157 @@ class TestRunSingle:
         assert tel.final_archive
 
 
+def run_state(cfg, run_index=0):
+    """The evolution settings and initial state of one run, as run_single sets them up."""
+    evo = replace(cfg.evolution, seed=cfg.base_seed + run_index)
+    return evo, init_population(evo, cfg.spiral, archive=_build_archive(cfg))
+
+
+def per_generation_telemetry(cfg) -> np.ndarray:
+    """Run 0's telemetry computed generation by generation: coverage from a
+    CoverageAccumulator fed each generation's children, H from the scalar
+    median of the survivors' non-NaN birth deltas."""
+    evo, state = run_state(cfg)
+    acc = CoverageAccumulator(cfg.spiral, COVERAGE_BINS)
+    acc.add_parameters(np.full(evo.pop_size, evo.init_t0))
+    rows = []
+    for g in range(1, evo.g_max + 1):
+        seen = len(state.lineage_log)
+        step_generation(state, evo, cfg.sampling)
+        acc.add_parameters([e.child_t for e in state.lineage_log[seen:]])
+        deltas = state.columns[BIRTH_DELTA]
+        size = len(state.archive) if state.archive is not None else 0
+        grid = size if isinstance(state.archive, GridArchive) else 0
+        H = scalar_median(deltas[~np.isnan(deltas)].tolist())
+        rows.append((g, acc.fraction, H, size, grid, state.columns[NOVELTY].max()))
+    return np.array(rows, TELEMETRY_DTYPE)
+
+
+ARCHIVE_SETTINGS = {
+    "none": "",
+    "unbounded": "archive.kind = unstructured_unbounded\n",
+    "bounded": "archive.kind = unstructured_bounded\narchive.max_size = 9\n",
+    "grid_guided": "archive.kind = grid\nsampling.mode = mixed_guided\n",
+}
+
+
+def small_run(archive, pop_size=30, offspring_size=30, g_max=12, seed=3):
+    return parse_config(
+        f"scenario = Custom\nruns = 1\nbase_seed = {seed}\nevolution.g_max = {g_max}\n"
+        f"evolution.pop_size = {pop_size}\nevolution.offspring_size = {offspring_size}\n"
+        + ARCHIVE_SETTINGS[archive]
+    )
+
+
+class TestRunTables:
+    @pytest.mark.parametrize("g_max", [1, 12])
+    @pytest.mark.parametrize("pop_size", [1, 2, 31])
+    @pytest.mark.parametrize("archive", sorted(ARCHIVE_SETTINGS))
+    def test_telemetry_matches_the_per_generation_oracle(self, archive, pop_size, g_max):
+        # 7 offspring: populations of 31 keep roots (NaN deltas) and see
+        # both odd and even counts of finite deltas.
+        cfg = small_run(archive, pop_size, offspring_size=7, g_max=g_max)
+        got = run_single(cfg, 0).telemetry
+        want = per_generation_telemetry(cfg)
+        assert got.dtype == want.dtype and len(got) == g_max
+        for name in TELEMETRY_DTYPE.names:
+            assert np.array_equal(got[name].view(np.int64), want[name].view(np.int64)), name
+
+    def test_oracle_cases_cover_odd_even_and_root_survivors(self):
+        # The parametrised cases above see both parities of the count of
+        # finite deltas, and rows mixing roots and children.  (A child always
+        # survives generation 1, so no row is all roots; test_analysis checks
+        # that case of the median.)
+        parities, mixed = set(), False
+        for archive in ARCHIVE_SETTINGS:
+            for pop_size in (1, 2, 31):
+                cfg = small_run(archive, pop_size, offspring_size=7)
+                evo, state = run_state(cfg)
+                for _ in range(evo.g_max):
+                    step_generation(state, evo, cfg.sampling)
+                    finite = np.count_nonzero(~np.isnan(state.columns[BIRTH_DELTA]))
+                    parities.add(int(finite % 2))
+                    mixed |= 0 < finite < pop_size
+        assert parities == {0, 1} and mixed
+
+    def test_bounded_archive_case_evicts(self):
+        # Six additions a generation against a bound of 9.
+        sizes = run_single(small_run("bounded"), 0).telemetry["archive_size"]
+        assert sizes.tolist() == [6] + [9] * 11
+
+    @pytest.mark.parametrize("archive", sorted(ARCHIVE_SETTINGS))
+    def test_lineage_log_matches_the_written_lineage(self, archive, tmp_path):
+        cfg = small_run(archive, g_max=8)
+        path = tmp_path / "lineage.csv"
+        write_run_lineage(cfg, run_single(cfg, 0), path)
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        cells = [line.split(",") for line in lines[1:]]
+
+        evo, state = run_state(cfg)
+        for g in range(1, evo.g_max + 1):
+            seen = len(state.lineage_log)
+            step_generation(state, evo, cfg.sampling)
+            assert len(state.lineage_log) == seen + evo.offspring_size
+            born = state.lineage_log[seen:]
+            assert all(type(e) is LineageEntry for e in born)
+            assert all(type(i) is int for e in born for i in e[:3])
+            assert all(type(t) is float for e in born for t in e[3:])
+            written = [(str(e.generation), str(e.child_id), str(e.parent_id),
+                        repr(e.child_t), repr(e.parent_t)) for e in born]
+            assert written == [tuple(row) for row in cells if row[0] == str(g)]
+
+    @pytest.mark.parametrize("archive", sorted(ARCHIVE_SETTINGS))
+    def test_run_builds_its_tables_once(self, archive, monkeypatch):
+        # No lineage record is built, and coverage and H are computed by one
+        # call each per run, not one per generation.
+        from spiralns import analysis, evolution, experiments
+
+        calls = []
+
+        class CountedEntry(LineageEntry):
+            def __new__(cls, *fields):
+                calls.append("record")
+                return super().__new__(cls, *fields)
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        monkeypatch.setattr(evolution, "LineageEntry", CountedEntry)
+        counted(analysis.CoverageAccumulator, "add_parameters")
+        counted(analysis, "median")
+        counted(experiments, "medians")
+        counted(experiments, "coverage_bins")
+        cfg = small_run(archive)
+        run_single(cfg, 0)
+        assert sorted(calls) == ["coverage_bins", "medians"]
+
+        evo, state = run_state(cfg)  # the record counter is live
+        step_generation(state, evo, cfg.sampling)
+        assert len(state.lineage_log[:]) == calls.count("record") == evo.offspring_size
+
+    def test_lineage_log_indexes_like_a_list(self):
+        cfg = small_run("none", pop_size=5, offspring_size=3, g_max=4)
+        evo, state = run_state(cfg)
+        for _ in range(evo.g_max):
+            step_generation(state, evo, cfg.sampling)
+        log = state.lineage_log
+        records = [log[i] for i in range(len(log))]
+        assert list(log) == records and log[-1] == records[-1]
+        bounds = [None, -13, -12, -5, -1, 0, 1, 2, 3, 4, 7, 11, 12, 13]
+        for start in bounds:
+            for stop in bounds:
+                for step in (None, 1, 2, 5, -1, -3):
+                    assert log[start:stop:step] == records[start:stop:step]
+        with pytest.raises(IndexError):
+            log[len(log)]
+
+
 class TestBatchArtifacts:
     def test_run_batch_writes_expected_files(self, tmp_path):
         out = tmp_path / "batch"
@@ -386,7 +544,8 @@ class TestBatchArtifacts:
         assert columns.tobytes() == tel.lineage.tobytes()
 
     def test_lineage_table_follows_the_log_records(self):
-        # run_single builds the lineage table positionally from LineageEntry records.
+        # The lineage log's block rows, which run_single turns into the table
+        # field by field, are the LineageEntry fields in order.
         assert LineageEntry._fields == LINEAGE_DTYPE.names
 
     def test_reader_rejects_wrong_file_kind(self, tmp_path):
