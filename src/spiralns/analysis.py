@@ -24,7 +24,6 @@ __all__ = [
     "CoverageReport",
     "CoverageAccumulator",
     "coverage_bins",
-    "median",
     "medians",
     "fit_damped_oscillator",
     "segment_phases",
@@ -75,11 +74,6 @@ def medians(rows: np.ndarray) -> np.ndarray:
     at, mid = np.arange(len(rows)), n // 2
     hi, lo = ordered[at, mid], ordered[at, (mid - 1).clip(min=0)]
     return np.where(n % 2, hi, np.where(n, (lo + hi) / 2.0, 0.0))
-
-
-def median(values: Sequence[float]) -> float:
-    """The median of the non-NaN values as in `medians`, 0.0 if there are none."""
-    return medians(np.asarray(values, float).reshape(1, -1))[0].item() if len(values) else 0.0
 
 
 def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):

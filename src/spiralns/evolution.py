@@ -14,11 +14,11 @@ whatever its size.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from itertools import starmap
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "Individual",
     "EvolutionConfig",
     "EvolutionState",
+    "LINEAGE_DTYPE",
     "LineageEntry",
     "init_population",
     "mutate",
@@ -64,49 +65,49 @@ class Metric(Enum):
     GEODESIC = "geodesic"
 
 
-class LineageEntry(NamedTuple):
-    generation: int
-    child_id: int
-    parent_id: int
-    child_t: float
-    parent_t: float
+# One row per offspring, in birth order: the table a run's lineage CSV holds.
+LINEAGE_DTYPE = np.dtype(
+    [("generation", np.int64), ("child_id", np.int64), ("parent_id", np.int64),
+     ("child_t", np.float64), ("parent_t", np.float64)]
+)
+
+# One lineage row as a record, with int ids and float values.
+LineageEntry = namedtuple("LineageEntry", LINEAGE_DTYPE.names)
 
 
 class LineageLog(Sequence):
-    """The run's LineageEntry records, one per offspring in birth order.
+    """The run's lineage: LINEAGE_DTYPE rows, read as LineageEntry records.
 
-    step_generation appends one (5, n) float block per generation, whose
-    rows are the entry fields.  Records are built only for the entries a
-    reader indexes, slices or iterates over.
+    step_generation appends one block of rows per generation.  Records are
+    built only for the rows a reader indexes, slices or iterates over.
     """
 
     def __init__(self):
-        self.blocks = []
-        self._ends = [0]  # entries before each block, then the total
+        self._blocks = []
+        self._rows = 0
 
     def append(self, block: np.ndarray):
-        self.blocks.append(block)
-        self._ends.append(self._ends[-1] + block.shape[1])
+        self._blocks.append(block)
+        self._rows += len(block)
 
     def __len__(self) -> int:
-        return self._ends[-1]
+        return self._rows
 
     def __iter__(self):
-        return iter(self[:])  # one pass over the blocks, not one per record
+        return iter(self[:])  # one pass over the table, not one per record
 
     def __getitem__(self, i):
-        picks = range(len(self))[i]
-        if isinstance(picks, int):
-            return self[picks : picks + 1][0]
-        if not picks:
-            return []
-        lo, hi = min(picks), max(picks) + 1
-        first, last = bisect_right(self._ends, lo) - 1, bisect_left(self._ends, hi)
-        start = lo - self._ends[first]
-        cols = np.concatenate(self.blocks[first:last], axis=1)[:, start : start + hi - lo]
-        ids = cols[:3].astype(np.int64).tolist()
-        entries = list(map(LineageEntry, *ids, *cols[3:].tolist()))
-        return entries[picks.start - lo :: picks.step]
+        rows = self.table()[i].tolist()
+        if isinstance(i, slice):
+            return list(starmap(LineageEntry, rows))
+        return LineageEntry(*rows)
+
+    def table(self) -> np.ndarray:
+        """Every row so far, as one fresh LINEAGE_DTYPE array."""
+        # Joined as bytes: numpy concatenates structured arrays field by
+        # field, about six times slower over a run's thousand blocks.
+        raw = [block.view(np.uint8) for block in self._blocks]
+        return np.concatenate((np.empty(0, np.uint8), *raw)).view(LINEAGE_DTYPE)
 
 
 @dataclass
@@ -438,13 +439,11 @@ def step_generation(
     elif isinstance(archive, GridArchive):
         kappas = [archive.insert(pool[:, j], rng) for j in range(m, pool.shape[1])]
 
-    # Rows as the LineageEntry fields: generation, child id, parent id,
-    # child t, parent t.
-    block = np.empty((5, kids.shape[1]))
-    block[0] = g_next
-    block[1::2] = kids[[ID, T]]
-    block[2::2] = parents[[ID, T]]
-    state.lineage_log.append(block)
+    born = np.empty(kids.shape[1], LINEAGE_DTYPE)
+    born["generation"] = g_next
+    born["child_id"], born["parent_id"] = kids[ID], parents[ID]
+    born["child_t"], born["parent_t"] = kids[T], parents[T]
+    state.lineage_log.append(born)
 
     if guided:
         # The parent pool of this generation: the pre-selection population

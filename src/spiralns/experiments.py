@@ -42,6 +42,7 @@ from .archives import (
     UnstructuredArchive,
 )
 from .evolution import (
+    LINEAGE_DTYPE,
     EvolutionConfig,
     Metric,
     init_population,
@@ -463,19 +464,13 @@ def effective_config_items(config: ExperimentConfig) -> list:
 # Execution
 
 
-# The tables of a run's telemetry and lineage CSVs, one field per column in
-# file order: the run fills them, the writers write them and the readers
-# return them.  median_delta is H, the median birth_delta of the surviving
-# population, roots excluded.
+# The tables of a run's telemetry and lineage CSVs (LINEAGE_DTYPE, from
+# `evolution`), one field per column in file order: the run fills them, the
+# writers write them and the readers return them.  median_delta is H, the
+# median birth_delta of the surviving population, roots excluded.
 TELEMETRY_DTYPE = np.dtype(
     [("generation", np.int64), ("coverage_fraction", np.float64), ("median_delta", np.float64),
      ("archive_size", np.int64), ("grid_occupied", np.int64), ("max_novelty", np.float64)]
-)
-# Built from the rows of the lineage log's blocks, which follow the
-# LineageEntry fields.
-LINEAGE_DTYPE = np.dtype(
-    [("generation", np.int64), ("child_id", np.int64), ("parent_id", np.int64),
-     ("child_t", np.float64), ("parent_t", np.float64)]
 )
 
 
@@ -500,24 +495,15 @@ def _build_archive(config: ExperimentConfig):
     kind = config.archive_kind
     if kind is ArchiveKind.NONE:
         return None
-    if kind is ArchiveKind.UNSTRUCTURED_UNBOUNDED:
-        return UnstructuredArchive(
-            max_size=None, additions_per_generation=config.additions_per_generation
-        )
-    if kind is ArchiveKind.UNSTRUCTURED_BOUNDED:
-        return UnstructuredArchive(
-            max_size=config.archive_max_size,
-            additions_per_generation=config.additions_per_generation,
-        )
-    return GridArchive(
-        params=config.spiral,
-        resolution=config.grid_resolution,
-        epsilon=config.grid_epsilon,
-    )
+    if kind is ArchiveKind.GRID:
+        return GridArchive(config.spiral, config.grid_resolution, config.grid_epsilon)
+    # A validated config holds a max_size only for a bounded archive.
+    return UnstructuredArchive(config.archive_max_size, config.additions_per_generation)
 
 
 def run_single(config: ExperimentConfig, run_index: int = 0) -> RunTelemetry:
     """One full seeded run; the seed is base_seed + run_index."""
+    config.validate()
     seed = config.base_seed + run_index
     evo = replace(config.evolution, seed=seed)
     state = init_population(evo, config.spiral, archive=_build_archive(config))
@@ -530,9 +516,7 @@ def run_single(config: ExperimentConfig, run_index: int = 0) -> RunTelemetry:
         sizes.append(len(state.archive) if state.archive is not None else 0)
         max_novelty.append(state.columns[NOVELTY].max())
 
-    lineage = np.empty(len(state.lineage_log), LINEAGE_DTYPE)
-    for name, column in zip(LINEAGE_DTYPE.names, np.concatenate(state.lineage_log.blocks, 1)):
-        lineage[name] = column
+    lineage = state.lineage_log.table()
     evaluated_ts = np.concatenate((np.full(evo.pop_size, evo.init_t0), lineage["child_t"]))
 
     table = np.empty(evo.g_max, TELEMETRY_DTYPE)
@@ -571,9 +555,6 @@ def execute_batch(config: ExperimentConfig) -> BatchResult:
 
 # ---------------------------------------------------------------------------
 # Artifacts
-
-TELEMETRY_COLUMNS = list(TELEMETRY_DTYPE.names)
-LINEAGE_COLUMNS = list(LINEAGE_DTYPE.names)
 
 FIT_COLUMNS = [
     "fit_amplitude",
@@ -615,11 +596,12 @@ def _write_csv(path, header_lines, columns, rows):
 
 
 def _write_table(config: ExperimentConfig, tel: RunTelemetry, table: np.ndarray, path: str):
-    # tolist() yields Python ints and floats, which the csv module writes
-    # with str and repr.
+    # tolist() yields rows of Python ints and floats, which the csv module
+    # writes with str and repr.  Rows are made 1024 at a time, so a long
+    # run's lineage is never held as Python objects all at once.
     extra = [("run_index", str(tel.run_index)), ("seed", str(tel.seed))]
-    columns = [table[name].tolist() for name in table.dtype.names]
-    _write_csv(path, _header_lines(config, extra), table.dtype.names, zip(*columns))
+    rows = (row for i in range(0, len(table), 1024) for row in table[i : i + 1024].tolist())
+    _write_csv(path, _header_lines(config, extra), table.dtype.names, rows)
 
 
 def write_run_telemetry(config: ExperimentConfig, tel: RunTelemetry, path: str):

@@ -29,11 +29,11 @@ from spiralns import (
     spiral_point,
     update_discovery_scores,
 )
-from spiralns.analysis import median
+from spiralns.analysis import medians
 from spiralns.evolution import Individual, _pool_novelty
 from spiralns.experiments import execute_batch, final_coverage
 
-from helpers import to_columns
+from helpers import scalar_median, to_columns
 
 PARAMS = SpiralParams()
 FULL = 0.95  # coverage fraction counted as full exploration
@@ -70,7 +70,7 @@ def success_rate(result) -> float:
 
 
 def median_coverage(result) -> float:
-    return median([final_coverage(tel.telemetry) for tel in result.telemetries])
+    return scalar_median([final_coverage(tel.telemetry) for tel in result.telemetries])
 
 
 def test_criterion_1_arc_length_oracle(criterion):
@@ -278,12 +278,10 @@ def test_criterion_8_exact_property_suite(criterion):
     )
     checks["eta shares sum to 1"] = math.isclose(sum(updated), 1.0, rel_tol=1e-12)
 
-    # median agrees with the numpy oracle exactly
+    # one-row medians agree with the numpy oracle exactly
     med_ok = all(
-        median(vals) == float(np.median(vals))
-        for vals in (
-            list(rng.normal(size=int(rng.integers(1, 60)))) for _ in range(200)
-        )
+        medians(vals.reshape(1, -1))[0] == np.median(vals)
+        for vals in (rng.normal(size=int(rng.integers(1, 60))) for _ in range(200))
     )
     checks["median oracle"] = med_ok
 

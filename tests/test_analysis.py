@@ -15,7 +15,7 @@ from spiralns import (
     fit_damped_oscillator,
     segment_phases,
 )
-from spiralns.analysis import _moving_median, coverage_bins, median, medians
+from spiralns.analysis import _moving_median, coverage_bins, medians
 from spiralns.spiral import arc_length_from_origin, arc_lengths_from_origin
 
 from helpers import scalar_median
@@ -32,19 +32,16 @@ def coverage(ts, bins=100) -> CoverageAccumulator:
 
 class TestMedian:
     def test_odd_count(self):
-        assert median([-1.0, 0.0, 2.0]) == 0.0
+        assert medians(np.array([[-1.0, 0.0, 2.0]])).tolist() == [0.0]
 
     def test_even_count_averages_middle_pair(self):
-        assert median([1.0, 3.0]) == 2.0
+        assert medians(np.array([[1.0, 3.0]])).tolist() == [2.0]
 
     def test_matches_numpy_oracle_exactly(self):
         rng = np.random.default_rng(20)
         for _ in range(200):
-            vals = list(rng.normal(size=int(rng.integers(1, 40))))
-            assert median(vals) == float(np.median(vals))
-
-    def test_empty_is_zero(self):
-        assert median([]) == 0.0
+            vals = rng.normal(size=int(rng.integers(1, 40)))
+            assert medians(vals.reshape(1, -1))[0] == np.median(vals)
 
     @settings(max_examples=200, deadline=None)
     @given(

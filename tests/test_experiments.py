@@ -36,11 +36,9 @@ from spiralns.evolution import LineageEntry
 from spiralns.experiments import (
     CONFIG_KEYS,
     COVERAGE_BINS,
-    LINEAGE_COLUMNS,
     LINEAGE_DTYPE,
     SCENARIO_PINS,
     SUMMARY_COLUMNS,
-    TELEMETRY_COLUMNS,
     TELEMETRY_DTYPE,
     _build_archive,
     config_from_items,
@@ -446,7 +444,6 @@ class TestRunTables:
 
         monkeypatch.setattr(evolution, "LineageEntry", CountedEntry)
         counted(analysis.CoverageAccumulator, "add_parameters")
-        counted(analysis, "median")
         counted(experiments, "medians")
         counted(experiments, "coverage_bins")
         cfg = small_run(archive)
@@ -456,6 +453,26 @@ class TestRunTables:
         evo, state = run_state(cfg)  # the record counter is live
         step_generation(state, evo, cfg.sampling)
         assert len(state.lineage_log[:]) == calls.count("record") == evo.offspring_size
+
+    @pytest.mark.parametrize("archive", sorted(ARCHIVE_SETTINGS))
+    def test_log_table_is_the_run_lineage(self, archive):
+        cfg = small_run(archive, g_max=8)
+        evo, state = run_state(cfg)
+        for _ in range(evo.g_max):
+            step_generation(state, evo, cfg.sampling)
+        table, lineage = state.lineage_log.table(), run_single(cfg, 0).lineage
+        assert table.dtype == lineage.dtype == LINEAGE_DTYPE
+        assert len(table) == evo.g_max * evo.offspring_size
+        assert table.tobytes() == lineage.tobytes()
+        table["child_id"] = -1  # a fresh array each call
+        assert state.lineage_log.table().tobytes() == lineage.tobytes()
+
+    def test_fresh_log_is_empty(self):
+        _, state = run_state(small_run("none"))
+        log = state.lineage_log
+        assert len(log) == 0 and log[:] == [] and list(log) == []
+        table = log.table()
+        assert table.dtype == LINEAGE_DTYPE and table.shape == (0,)
 
     def test_lineage_log_indexes_like_a_list(self):
         cfg = small_run("none", pop_size=5, offspring_size=3, g_max=4)
@@ -544,8 +561,8 @@ class TestBatchArtifacts:
         assert columns.tobytes() == tel.lineage.tobytes()
 
     def test_lineage_table_follows_the_log_records(self):
-        # The lineage log's block rows, which run_single turns into the table
-        # field by field, are the LineageEntry fields in order.
+        # LineageEntry is built from LINEAGE_DTYPE's field names, so a log
+        # record and a row of the lineage table hold the same fields in order.
         assert LineageEntry._fields == LINEAGE_DTYPE.names
 
     def test_reader_rejects_wrong_file_kind(self, tmp_path):
@@ -557,7 +574,8 @@ class TestBatchArtifacts:
             read_lineage(path)
 
     @pytest.mark.parametrize(
-        "reader, names", [(read_lineage, LINEAGE_COLUMNS), (read_telemetry, TELEMETRY_COLUMNS)]
+        "reader, names",
+        [(read_lineage, list(LINEAGE_DTYPE.names)), (read_telemetry, list(TELEMETRY_DTYPE.names))],
     )
     def test_header_only_file_reads_zero_rows_without_warning(self, tmp_path, reader, names):
         path = tmp_path / "h.csv"
@@ -583,7 +601,7 @@ class TestReaderFloatRoundTrip:
     @given(st.floats(allow_nan=False))
     def test_lineage(self, tmp_path_factory, x):
         row = f"1,2,3,{x!r},{x!r}"
-        columns = _reread(tmp_path_factory.mktemp("l"), read_lineage, LINEAGE_COLUMNS, row)
+        columns = _reread(tmp_path_factory.mktemp("l"), read_lineage, LINEAGE_DTYPE.names, row)
         assert_same_bits(columns["child_t"], [x])
         assert_same_bits(columns["parent_t"], [x])
 
@@ -591,7 +609,7 @@ class TestReaderFloatRoundTrip:
     @given(st.floats())
     def test_telemetry(self, tmp_path_factory, x):
         row = f"1,{x!r},{x!r},0,0,{x!r}"
-        columns = _reread(tmp_path_factory.mktemp("t"), read_telemetry, TELEMETRY_COLUMNS, row)
+        columns = _reread(tmp_path_factory.mktemp("t"), read_telemetry, TELEMETRY_DTYPE.names, row)
         for name in ("coverage_fraction", "median_delta", "max_novelty"):
             assert_same_bits(columns[name], [x])
 
