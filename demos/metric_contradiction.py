@@ -7,23 +7,22 @@
 
 import math
 
-from spiralns import (
-    SpiralParams,
-    euclidean_distance,
-    geodesic_distance,
-    spiral_point,
-)
+import numpy as np
 
+from spiralns import GenotypeSpace, SpiralParams, map_genotypes
+
+ANGLE, ARC_LENGTH = GenotypeSpace.ANGLE, GenotypeSpace.ARC_LENGTH
 params = SpiralParams()  # a = 0.01, t in [0, 30*pi]
 
-t1, t2 = 20 * math.pi, 22 * math.pi  # one full turn apart, same ray
-p1, p2 = spiral_point(t1, params), spiral_point(t2, params)
+# One full turn apart, same ray.  map_genotypes returns the curve parameter,
+# the plane coordinates and the arc length from the origin of each point.
+_, x, y, arc = map_genotypes(np.array([20 * math.pi, 22 * math.pi]), ANGLE, params)
 
-d_euc = euclidean_distance(p1, p2)
-d_geo = geodesic_distance(p1, p2, params)
+d_euc = math.hypot(x[1] - x[0], y[1] - y[0])
+d_geo = abs(arc[1] - arc[0])
 
-print(f"p1 = ({p1.x:+.4f}, {p1.y:+.4f})   at t = 20*pi")
-print(f"p2 = ({p2.x:+.4f}, {p2.y:+.4f})   at t = 22*pi")
+print(f"p1 = ({x[0]:+.4f}, {y[0]:+.4f})   at t = 20*pi")
+print(f"p2 = ({x[1]:+.4f}, {y[1]:+.4f})   at t = 22*pi")
 print(f"euclidean distance: {d_euc:.4f}   (the gap between turns, 2*pi*a)")
 print(f"geodesic distance:  {d_geo:.4f}   (a full lap along the curve)")
 print(f"ratio: {d_geo / d_euc:.1f}x")
@@ -33,10 +32,8 @@ print(f"ratio: {d_geo / d_euc:.1f}x")
 # out on the rim, so euclidean novelty systematically under-prices them.
 print()
 print("fixed 2.0 arc-length step, measured straight-line:")
-from spiralns import arc_length_from_origin, invert_arc_length
-
-for t in (2 * math.pi, 10 * math.pi, 20 * math.pi, 28 * math.pi):
-    s = arc_length_from_origin(t, params)
-    t_next = invert_arc_length(s + 2.0, params)
-    d = euclidean_distance(spiral_point(t, params), spiral_point(t_next, params))
+ts = np.array([2.0, 10.0, 20.0, 28.0]) * math.pi
+_, x0, y0, s = map_genotypes(ts, ANGLE, params)
+_, x1, y1, _ = map_genotypes(s + 2.0, ARC_LENGTH, params)  # 2.0 further along
+for t, d in zip(ts, np.hypot(x1 - x0, y1 - y0)):
     print(f"  from t = {t / math.pi:4.0f}*pi   euclidean = {d:.4f}")

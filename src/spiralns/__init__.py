@@ -13,15 +13,8 @@ from .spiral import (
     Genotype,
     GenotypeSpace,
     SpiralParams,
-    arc_length,
-    arc_length_from_origin,
-    euclidean_distance,
-    geodesic_distance,
-    genotype_at_curve_parameter,
     genotype_bounds,
-    invert_arc_length,
-    map_genotype,
-    spiral_point,
+    map_genotypes,
 )
 from .archives import (
     GridArchive,
@@ -43,7 +36,6 @@ from .evolution import (
 )
 from .analysis import (
     CoverageAccumulator,
-    CoverageReport,
     OscillatorFit,
     Phase,
     PhaseKind,
@@ -73,15 +65,8 @@ __all__ = [
     "Genotype",
     "GenotypeSpace",
     "SpiralParams",
-    "arc_length",
-    "arc_length_from_origin",
-    "euclidean_distance",
-    "geodesic_distance",
-    "genotype_at_curve_parameter",
     "genotype_bounds",
-    "invert_arc_length",
-    "map_genotype",
-    "spiral_point",
+    "map_genotypes",
     "GridArchive",
     "SamplingMode",
     "SamplingStrategy",
@@ -97,7 +82,6 @@ __all__ = [
     "mutate",
     "step_generation",
     "CoverageAccumulator",
-    "CoverageReport",
     "OscillatorFit",
     "Phase",
     "PhaseKind",

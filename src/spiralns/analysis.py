@@ -21,7 +21,6 @@ __all__ = [
     "OscillatorFit",
     "PhaseKind",
     "Phase",
-    "CoverageReport",
     "CoverageAccumulator",
     "coverage_bins",
     "medians",
@@ -53,13 +52,6 @@ class Phase(NamedTuple):
     start: int
     end: int  # inclusive
     kind: PhaseKind
-
-
-@dataclass
-class CoverageReport:
-    bins: int
-    covered: np.ndarray  # boolean mask, one flag per arc-length bin
-    fraction: float
 
 
 def medians(rows: np.ndarray) -> np.ndarray:
@@ -229,6 +221,3 @@ class CoverageAccumulator:
     @property
     def fraction(self) -> float:
         return float(self.covered.sum()) / self.bins
-
-    def report(self) -> CoverageReport:
-        return CoverageReport(self.bins, self.covered.copy(), self.fraction)

@@ -35,7 +35,7 @@ from .archives import (
     update_discovery_scores,
 )
 from .spiral import INVERSION_TOL, GenotypeSpace, SpiralParams
-from .spiral import genotype_at_curve_parameter, genotype_bounds
+from .spiral import _exact_arc_lengths, genotype_bounds
 
 # The vectorised map, under the name the generation loop looks up on each
 # call, so a tracer can wrap it here (see bench/layers.py).
@@ -193,8 +193,10 @@ def init_population(
     """Generation 0: M clones at the starting point, archive as given."""
     config.validate(params)
     space = config.genotype_space
-    start = genotype_at_curve_parameter(config.init_t0, space, params)
-    roots = _evaluate(np.full(config.pop_size, start.value), space, params, 0, 0)
+    start = np.full(config.pop_size, config.init_t0)
+    if space is GenotypeSpace.ARC_LENGTH:
+        start = _exact_arc_lengths(start, params.a)
+    roots = _evaluate(start, space, params, 0, 0)
     rng = np.random.default_rng(config.seed)
     return EvolutionState(params, 0, roots, archive, rng, next_id=config.pop_size)
 

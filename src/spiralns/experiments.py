@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     CoverageAccumulator,
-    CoverageReport,
     MIN_FIT_SAMPLES,
     coverage_bins,
     fit_damped_oscillator,
@@ -488,7 +487,7 @@ class RunTelemetry:
 class BatchResult:
     config: ExperimentConfig
     telemetries: list
-    cumulative: CoverageReport
+    cumulative: CoverageAccumulator
 
 
 def _build_archive(config: ExperimentConfig):
@@ -550,7 +549,7 @@ def execute_batch(config: ExperimentConfig) -> BatchResult:
     acc = CoverageAccumulator(config.spiral, COVERAGE_BINS)
     for tel in telemetries:
         acc.add_parameters(tel.evaluated_ts)
-    return BatchResult(config, telemetries, acc.report())
+    return BatchResult(config, telemetries, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -26,17 +26,9 @@ __all__ = [
     "SpiralParams",
     "Genotype",
     "BehaviorPoint",
-    "spiral_point",
-    "arc_length",
-    "arc_length_from_origin",
-    "invert_arc_length",
     "invert_arc_lengths",
-    "euclidean_distance",
-    "geodesic_distance",
-    "map_genotype",
     "map_genotypes",
     "genotype_bounds",
-    "genotype_at_curve_parameter",
 ]
 
 # Arc-length residual below which the Newton inversion is accepted.  Far below
@@ -72,7 +64,7 @@ class SpiralParams:
     @cached_property
     def s_max(self) -> float:
         """Total arc length S(0, t_max), computed on first use."""
-        return arc_length_from_origin(self.t_max, self)
+        return float(_exact_arc_lengths(np.array([self.t_max]), self.a)[0])
 
     @property
     def extent(self) -> float:
@@ -95,34 +87,12 @@ class BehaviorPoint:
     t: float
 
 
-def _check_t(t: float, params: SpiralParams, what: str = "t"):
-    if not 0.0 <= t <= params.t_max:
-        raise ValueError(f"{what}={t} outside the curve domain [0, {params.t_max}]")
-
-
-def spiral_point(t: float, params: SpiralParams) -> BehaviorPoint:
-    """Evaluate gamma(t) = (a*t*cos t, a*t*sin t)."""
-    _check_t(t, params)
-    r = params.a * t
-    return BehaviorPoint(r * math.cos(t), r * math.sin(t), t)
-
-
-def _arc_antiderivative(t: float) -> float:
-    # Antiderivative of sqrt(t^2 + 1); asinh(t) = log(t + sqrt(t^2 + 1)).
-    return 0.5 * (t * math.sqrt(t * t + 1.0) + math.asinh(t))
-
-
-def arc_length(t1: float, t2: float, params: SpiralParams) -> float:
-    """Signed arc length S(t1, t2); antisymmetric in its arguments."""
-    _check_t(t1, params, "t1")
-    _check_t(t2, params, "t2")
-    return params.a * (_arc_antiderivative(t2) - _arc_antiderivative(t1))
-
-
-def arc_length_from_origin(t: float, params: SpiralParams) -> float:
-    """S(0, t), the genotype value of the arc-length encoding."""
-    _check_t(t, params)
-    return params.a * _arc_antiderivative(t)
+# S(0, t) has two array forms.  arc_lengths_from_origin (np.arcsinh) bins
+# coverage: on 7,530 uniform draws over the default curve it takes about
+# 0.07 ms against 0.7 to 0.8 ms for _exact_arc_lengths (2-CPU x86-64 host,
+# numpy 2.4.6), and 14 to 20 of those values differ from the exact form in
+# the last bit.  _exact_arc_lengths (math.asinh) maps genotypes, which keeps
+# every genotype's behavior and arc position bit-stable.
 
 
 def arc_lengths_from_origin(ts: np.ndarray, params: SpiralParams) -> np.ndarray:
@@ -131,45 +101,11 @@ def arc_lengths_from_origin(ts: np.ndarray, params: SpiralParams) -> np.ndarray:
     return params.a * 0.5 * (ts * np.sqrt(ts * ts + 1.0) + np.arcsinh(ts))
 
 
-def invert_arc_length(s: float, params: SpiralParams) -> float:
-    """Solve S(0, t) = s for t.
-
-    Safeguarded Newton iteration on f(t) = S(0,t) - s with the analytic
-    derivative ds/dt = a*sqrt(t^2+1), falling back to bisection whenever a
-    Newton step leaves the current bracket.  Accepted when the arc-length
-    residual drops below INVERSION_TOL.
-    """
-    if not 0.0 <= s <= params.s_max:
-        raise ValueError(f"arc length s={s} outside [0, {params.s_max}]")
-    if s == 0.0:
-        return 0.0
-
-    lo, hi = 0.0, params.t_max
-    # Decent starting guess: for large t, S(0,t) ~ (a/2) t^2.
-    t = min(math.sqrt(2.0 * s / params.a), params.t_max)
-    for _ in range(MAX_INVERSION_STEPS):
-        f = params.a * _arc_antiderivative(t) - s
-        if abs(f) <= INVERSION_TOL:
-            return t
-        if f > 0.0:
-            hi = t
-        else:
-            lo = t
-        step = f / (params.a * math.sqrt(t * t + 1.0))
-        t_new = t - step
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-    raise RuntimeError(
-        f"arc-length inversion did not converge for s={s} "
-        f"within {MAX_INVERSION_STEPS} steps"
-    )
-
-
 def _exact_arc_lengths(ts: np.ndarray, a: float, roots=None) -> np.ndarray:
-    # S(0, t) elementwise with the scalar path's operations: math.asinh per
-    # element, since np.arcsinh differs from it in the last bit on some
-    # inputs.  roots, if given, holds sqrt(t*t + 1) already.
+    # S(0, t) elementwise in the operations of the scalar reference in
+    # tests/oracles.py: math.asinh per element, since np.arcsinh differs from
+    # it in the last bit on some inputs.  roots, if given, holds
+    # sqrt(t*t + 1) already.
     if roots is None:
         roots = np.sqrt(ts * ts + 1.0)
     asinh = np.fromiter(map(math.asinh, ts.tolist()), float, len(ts))
@@ -182,12 +118,15 @@ def _check_range(values: np.ndarray, hi: float, what: str):
 
 
 def invert_arc_lengths(s: np.ndarray, params: SpiralParams) -> tuple:
-    """invert_arc_length elementwise, plus S(0, t) at each solution.
+    """Solve S(0, t) = s elementwise; returns (t, arc) with arc = S(0, t).
 
-    Every element takes the scalar routine's iterates, in the same floating
-    point operations, until its own residual is accepted; converged elements
-    leave the active set.  Returns (t, arc) arrays equal to
-    invert_arc_length(s) and arc_length_from_origin(t) bit for bit.
+    Safeguarded Newton iteration on f(t) = S(0, t) - s with the analytic
+    derivative ds/dt = a*sqrt(t^2+1), falling back to bisection whenever a
+    Newton step leaves the current bracket.  An element is accepted when its
+    arc-length residual drops below INVERSION_TOL and then leaves the active
+    set.  Every element takes the iterates of the scalar reference
+    invert_arc_length in tests/oracles.py, in the same floating point
+    operations, so both arrays equal it bit for bit.
     """
     s = np.asarray(s, dtype=float)
     _check_range(s, params.s_max, "arc length")
@@ -227,52 +166,18 @@ def invert_arc_lengths(s: np.ndarray, params: SpiralParams) -> tuple:
     )
 
 
-def euclidean_distance(p: BehaviorPoint, q: BehaviorPoint) -> float:
-    # sqrt of the explicit sum of squares, matching the vectorized scoring
-    # path bit for bit.
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return math.sqrt(dx * dx + dy * dy)
-
-
-def geodesic_distance(p: BehaviorPoint, q: BehaviorPoint, params: SpiralParams) -> float:
-    """|S(0, p.t) - S(0, q.t)|, the along-curve distance.
-
-    Uses the stored curve parameters: recovering t from coordinates is
-    ill-posed on a self-approaching curve, and every generator of behavior
-    points knows t.
-    """
-    return abs(arc_length(q.t, p.t, params))
-
-
 def genotype_bounds(space: GenotypeSpace, params: SpiralParams) -> tuple[float, float]:
     if space is GenotypeSpace.ANGLE:
         return 0.0, params.t_max
     return 0.0, params.s_max
 
 
-def map_genotype(g: Genotype, params: SpiralParams) -> BehaviorPoint:
-    """Decode a genotype to its behavior point on the curve.
+def map_genotypes(values: np.ndarray, space: GenotypeSpace, params: SpiralParams) -> tuple:
+    """Decode genotype values to (t, x, y, arc_pos) arrays on the curve.
 
     Angle genotypes index the curve directly; arc-length genotypes go
-    through the numerical inversion of S.  Raises on out-of-bounds values:
-    callers are expected to clamp first.
-    """
-    lo, hi = genotype_bounds(g.space, params)
-    if not lo <= g.value <= hi:
-        raise ValueError(
-            f"genotype value {g.value} outside {g.space.value} bounds [{lo}, {hi}]"
-        )
-    if g.space is GenotypeSpace.ANGLE:
-        return spiral_point(g.value, params)
-    return spiral_point(invert_arc_length(g.value, params), params)
-
-
-def map_genotypes(values: np.ndarray, space: GenotypeSpace, params: SpiralParams) -> tuple:
-    """map_genotype elementwise: (t, x, y, arc_pos) arrays for genotype values.
-
-    Equal to map_genotype and arc_length_from_origin of the same values bit
-    for bit; raises on out-of-bounds values.
+    through the inversion of S.  Equal bit for bit to the scalar reference
+    map_genotype in tests/oracles.py; raises on out-of-bounds values.
     """
     values = np.asarray(values, dtype=float)
     if space is GenotypeSpace.ARC_LENGTH:
@@ -282,13 +187,3 @@ def map_genotypes(values: np.ndarray, space: GenotypeSpace, params: SpiralParams
         t, arc = values, _exact_arc_lengths(values, params.a)
     r = params.a * t
     return t, r * np.cos(t), r * np.sin(t), arc
-
-
-def genotype_at_curve_parameter(
-    t: float, space: GenotypeSpace, params: SpiralParams
-) -> Genotype:
-    """The genotype (in the requested encoding) whose behavior is gamma(t)."""
-    _check_t(t, params)
-    if space is GenotypeSpace.ANGLE:
-        return Genotype(t, space)
-    return Genotype(arc_length_from_origin(t, params), space)

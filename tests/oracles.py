@@ -1,0 +1,130 @@
+"""Scalar reference geometry of the spiral, one value at a time.
+
+The package computes the spiral's geometry with the array routines of
+`spiralns.spiral` only.  These scalar routines are the tests' reference for
+them: `map_genotypes` and `invert_arc_lengths` must equal `map_genotype`,
+`invert_arc_length` and `arc_length_from_origin` here bit for bit, and the
+record-based test fixtures build their behavior points with them.
+"""
+
+import math
+
+from spiralns.spiral import (
+    INVERSION_TOL,
+    MAX_INVERSION_STEPS,
+    BehaviorPoint,
+    Genotype,
+    GenotypeSpace,
+    SpiralParams,
+    genotype_bounds,
+)
+
+
+def _check_t(t: float, params: SpiralParams, what: str = "t"):
+    if not 0.0 <= t <= params.t_max:
+        raise ValueError(f"{what}={t} outside the curve domain [0, {params.t_max}]")
+
+
+def spiral_point(t: float, params: SpiralParams) -> BehaviorPoint:
+    """Evaluate gamma(t) = (a*t*cos t, a*t*sin t)."""
+    _check_t(t, params)
+    r = params.a * t
+    return BehaviorPoint(r * math.cos(t), r * math.sin(t), t)
+
+
+def _arc_antiderivative(t: float) -> float:
+    # Antiderivative of sqrt(t^2 + 1); asinh(t) = log(t + sqrt(t^2 + 1)).
+    return 0.5 * (t * math.sqrt(t * t + 1.0) + math.asinh(t))
+
+
+def arc_length(t1: float, t2: float, params: SpiralParams) -> float:
+    """Signed arc length S(t1, t2); antisymmetric in its arguments."""
+    _check_t(t1, params, "t1")
+    _check_t(t2, params, "t2")
+    return params.a * (_arc_antiderivative(t2) - _arc_antiderivative(t1))
+
+
+def arc_length_from_origin(t: float, params: SpiralParams) -> float:
+    """S(0, t), the genotype value of the arc-length encoding."""
+    _check_t(t, params)
+    return params.a * _arc_antiderivative(t)
+
+
+def invert_arc_length(s: float, params: SpiralParams) -> float:
+    """Solve S(0, t) = s for t.
+
+    Safeguarded Newton iteration on f(t) = S(0,t) - s with the analytic
+    derivative ds/dt = a*sqrt(t^2+1), falling back to bisection whenever a
+    Newton step leaves the current bracket.  Accepted when the arc-length
+    residual drops below INVERSION_TOL.
+    """
+    if not 0.0 <= s <= params.s_max:
+        raise ValueError(f"arc length s={s} outside [0, {params.s_max}]")
+    if s == 0.0:
+        return 0.0
+
+    lo, hi = 0.0, params.t_max
+    # Decent starting guess: for large t, S(0,t) ~ (a/2) t^2.
+    t = min(math.sqrt(2.0 * s / params.a), params.t_max)
+    for _ in range(MAX_INVERSION_STEPS):
+        f = params.a * _arc_antiderivative(t) - s
+        if abs(f) <= INVERSION_TOL:
+            return t
+        if f > 0.0:
+            hi = t
+        else:
+            lo = t
+        step = f / (params.a * math.sqrt(t * t + 1.0))
+        t_new = t - step
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+        t = t_new
+    raise RuntimeError(
+        f"arc-length inversion did not converge for s={s} "
+        f"within {MAX_INVERSION_STEPS} steps"
+    )
+
+
+def euclidean_distance(p: BehaviorPoint, q: BehaviorPoint) -> float:
+    # sqrt of the explicit sum of squares, matching the vectorized scoring
+    # path bit for bit.
+    dx = p.x - q.x
+    dy = p.y - q.y
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def geodesic_distance(p: BehaviorPoint, q: BehaviorPoint, params: SpiralParams) -> float:
+    """|S(0, p.t) - S(0, q.t)|, the along-curve distance.
+
+    Uses the stored curve parameters: recovering t from coordinates is
+    ill-posed on a self-approaching curve, and every generator of behavior
+    points knows t.
+    """
+    return abs(arc_length(q.t, p.t, params))
+
+
+def map_genotype(g: Genotype, params: SpiralParams) -> BehaviorPoint:
+    """Decode a genotype to its behavior point on the curve.
+
+    Angle genotypes index the curve directly; arc-length genotypes go
+    through the numerical inversion of S.  Raises on out-of-bounds values:
+    callers are expected to clamp first.
+    """
+    lo, hi = genotype_bounds(g.space, params)
+    if not lo <= g.value <= hi:
+        raise ValueError(
+            f"genotype value {g.value} outside {g.space.value} bounds [{lo}, {hi}]"
+        )
+    if g.space is GenotypeSpace.ANGLE:
+        return spiral_point(g.value, params)
+    return spiral_point(invert_arc_length(g.value, params), params)
+
+
+def genotype_at_curve_parameter(
+    t: float, space: GenotypeSpace, params: SpiralParams
+) -> Genotype:
+    """The genotype (in the requested encoding) whose behavior is gamma(t)."""
+    _check_t(t, params)
+    if space is GenotypeSpace.ANGLE:
+        return Genotype(t, space)
+    return Genotype(arc_length_from_origin(t, params), space)

@@ -18,22 +18,20 @@ from spiralns import (
     Metric,
     SpiralParams,
     UnstructuredArchive,
-    arc_length_from_origin,
-    euclidean_distance,
     fit_damped_oscillator,
-    geodesic_distance,
-    invert_arc_length,
+    map_genotypes,
     parse_config,
     run_single,
     segment_phases,
-    spiral_point,
     update_discovery_scores,
 )
 from spiralns.analysis import medians
 from spiralns.evolution import Individual, _pool_novelty
 from spiralns.experiments import execute_batch, final_coverage
+from spiralns.spiral import invert_arc_lengths
 
 from helpers import scalar_median, to_columns
+from oracles import arc_length_from_origin, spiral_point
 
 PARAMS = SpiralParams()
 FULL = 0.95  # coverage fraction counted as full exploration
@@ -75,16 +73,14 @@ def median_coverage(result) -> float:
 
 def test_criterion_1_arc_length_oracle(criterion):
     grid = np.linspace(0.0, PARAMS.t_max, 50)
+    arcs = map_genotypes(grid, GenotypeSpace.ANGLE, PARAMS)[3]
     worst_arc = 0.0
-    for t in grid:
+    for t, arc in zip(grid, arcs):
         oracle, _ = quad(
             lambda u: PARAMS.a * math.sqrt(u * u + 1.0), 0.0, float(t), limit=200
         )
-        worst_arc = max(worst_arc, abs(arc_length_from_origin(float(t), PARAMS) - oracle))
-    worst_inv = max(
-        abs(invert_arc_length(arc_length_from_origin(float(t), PARAMS), PARAMS) - float(t))
-        for t in grid
-    )
+        worst_arc = max(worst_arc, abs(float(arc) - oracle))
+    worst_inv = float(np.max(np.abs(invert_arc_lengths(arcs, PARAMS)[0] - grid)))
     ok = worst_arc <= 1e-8 and worst_inv <= 1e-6
     criterion(
         1,
@@ -95,10 +91,12 @@ def test_criterion_1_arc_length_oracle(criterion):
 
 
 def test_criterion_2_metric_contradiction(criterion):
-    p1 = spiral_point(20 * math.pi, PARAMS)
-    p2 = spiral_point(22 * math.pi, PARAMS)
-    d_euc = euclidean_distance(p1, p2)
-    d_geo = geodesic_distance(p1, p2, PARAMS)
+    _, x, y, arc = map_genotypes(
+        np.array([20 * math.pi, 22 * math.pi]), GenotypeSpace.ANGLE, PARAMS
+    )
+    dx, dy = float(x[0] - x[1]), float(y[0] - y[1])
+    d_euc = math.sqrt(dx * dx + dy * dy)
+    d_geo = abs(float(arc[0] - arc[1]))
     ratio = d_geo / d_euc
     ok = (
         abs(d_euc - 0.0628) <= 1e-4

@@ -16,9 +16,10 @@ from spiralns import (
     segment_phases,
 )
 from spiralns.analysis import _moving_median, coverage_bins, medians
-from spiralns.spiral import arc_length_from_origin, arc_lengths_from_origin
+from spiralns.spiral import arc_lengths_from_origin
 
 from helpers import scalar_median
+from oracles import arc_length_from_origin, invert_arc_length
 
 PARAMS = SpiralParams()
 
@@ -186,8 +187,6 @@ class TestCoverage:
         assert rep.covered.sum() == 1
 
     def test_bin_centers_cover_everything(self):
-        from spiralns import invert_arc_length
-
         s_max = PARAMS.s_max
         rep = coverage([invert_arc_length((i + 0.5) * s_max / 100, PARAMS) for i in range(100)])
         assert rep.fraction == 1.0

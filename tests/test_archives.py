@@ -20,15 +20,15 @@ from spiralns import (
     UnstructuredArchive,
     init_population,
     sample_parents,
-    spiral_point,
     step_generation,
     update_discovery_scores,
 )
 from spiralns.archives import ID
 from spiralns.evolution import Individual
-from spiralns.spiral import BehaviorPoint, arc_length_from_origin
+from spiralns.spiral import BehaviorPoint
 
 from helpers import coords, to_columns, unstructured_archive
+from oracles import arc_length_from_origin, spiral_point
 
 PARAMS = SpiralParams()
 

@@ -1,6 +1,8 @@
-"""The demos compile, import only names spiralns has, and the quick ones run."""
+"""The package root's exports resolve; the demos compile, import only names
+spiralns and its modules have, and the quick ones run."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -21,13 +23,36 @@ def test_demo_compiles_and_imports_existing_names(name):
         tree = ast.parse(fh.read(), path)
     compile(tree, path, "exec")
     imported = [
-        alias.name
+        (node.module, alias.name)
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "spiralns"
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").partition(".")[0] == "spiralns"
         for alias in node.names
     ]
     assert imported
-    assert [n for n in imported if not hasattr(spiralns, n)] == []
+    missing = [
+        f"{module}.{n}"
+        for module, n in imported
+        if not hasattr(importlib.import_module(module), n)
+    ]
+    assert missing == []
+
+
+def test_every_root_export_resolves_once():
+    names = spiralns.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(spiralns, n)] == []
+    # The root re-exports exactly what its own imports bring in.
+    path = os.path.join(ROOT, "src", "spiralns", "__init__.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported | {"__version__"} == set(names)
 
 
 @pytest.mark.parametrize("name", ["metric_contradiction.py", "unbounded_archive_oscillation.py"])

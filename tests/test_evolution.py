@@ -16,25 +16,28 @@ from spiralns import (
     SamplingStrategy,
     SpiralParams,
     init_population,
-    map_genotype,
+    map_genotypes,
     mutate,
-    spiral_point,
     step_generation,
 )
 from spiralns import evolution
 from spiralns.archives import N_ROWS, _Rows
 from spiralns.evolution import TREE_CROSSOVER, Individual, _pool_novelty
-from spiralns.spiral import BehaviorPoint, map_genotypes
+from spiralns.spiral import BehaviorPoint
 
 from helpers import to_columns, unstructured_archive
+from oracles import (
+    arc_length_from_origin,
+    genotype_at_curve_parameter,
+    map_genotype,
+    spiral_point,
+)
 
 PARAMS = SpiralParams()
 POP_ONLY = SamplingStrategy(SamplingMode.POPULATION_ONLY)
 
 
 def make_individual(t: float, ident: int = 0) -> Individual:
-    from spiralns.spiral import arc_length_from_origin
-
     b = spiral_point(t, PARAMS)
     return Individual(
         id=ident,
@@ -45,13 +48,21 @@ def make_individual(t: float, ident: int = 0) -> Individual:
 
 
 class TestInitPopulation:
-    def test_all_identical_at_start(self):
-        cfg = EvolutionConfig(pop_size=30, init_t0=15 * math.pi)
+    @pytest.mark.parametrize("space", list(GenotypeSpace))
+    def test_all_identical_at_start(self, space):
+        t0 = 15 * math.pi
+        cfg = EvolutionConfig(pop_size=30, init_t0=t0, genotype_space=space)
         state = init_population(cfg, PARAMS)
         assert len(state.population) == 30
-        ref = spiral_point(15 * math.pi, PARAMS)
+        # The start genotype is t0 itself, or its exact arc length S(0, t0).
+        s0 = map_genotypes(np.array([t0]), GenotypeSpace.ANGLE, PARAMS)[3][0]
+        value = t0 if space is GenotypeSpace.ANGLE else s0
+        assert value == genotype_at_curve_parameter(t0, space, PARAMS).value
+        (t,), (x,), (y,), (arc,) = map_genotypes(np.array([value]), space, PARAMS)
         for ind in state.population:
-            assert (ind.behavior.x, ind.behavior.y) == (ref.x, ref.y)
+            assert ind.genotype == Genotype(value, space)
+            assert (ind.behavior.x, ind.behavior.y, ind.behavior.t) == (x, y, t)
+            assert ind.arc_pos == arc
             assert ind.novelty == 0.0 and ind.eta == 0.0
             assert ind.parent_id is None and ind.birth_generation == 0
         assert state.archive is None and state.generation == 0
@@ -536,8 +547,6 @@ class TestStepGeneration:
             child = by_id.get(e.child_id)
             if child is None:
                 continue
-            from spiralns.spiral import arc_length_from_origin
-
             want = arc_length_from_origin(e.child_t, PARAMS) - arc_length_from_origin(
                 e.parent_t, PARAMS
             )

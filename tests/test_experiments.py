@@ -51,6 +51,7 @@ from spiralns.experiments import (
 from spiralns.svgplot import emit_svg
 
 from helpers import scalar_median
+from oracles import invert_arc_length, spiral_point
 
 PARAMS = SpiralParams()
 
@@ -653,8 +654,6 @@ class TestSvg:
         assert '<circle cx="360.00" cy="360.00" r="1.6"' in doc
 
     def test_full_coverage_dots_span_every_decile(self):
-        from spiralns import invert_arc_length, spiral_point
-
         ts = [
             invert_arc_length((i + 0.5) * PARAMS.s_max / 10, PARAMS) for i in range(10)
         ]

@@ -1,4 +1,10 @@
-"""Geometry: closed-form arc length, inversion, metrics, genotype mapping."""
+"""Geometry: closed-form arc length, inversion, metrics, genotype mapping.
+
+The scalar routines live in tests/oracles.py as the reference for the
+package's array routines; the classes up to TestGenotypeMapping pin that
+reference to quadrature and to the curve, and TestVectorisedMapping holds
+the array routines to it bit for bit.
+"""
 
 import functools
 import math
@@ -15,17 +21,21 @@ from spiralns import (
     Genotype,
     GenotypeSpace,
     SpiralParams,
+    genotype_bounds,
+    map_genotypes,
+)
+from spiralns.spiral import invert_arc_lengths
+
+from oracles import (
     arc_length,
     arc_length_from_origin,
     euclidean_distance,
     genotype_at_curve_parameter,
-    genotype_bounds,
     geodesic_distance,
     invert_arc_length,
     map_genotype,
     spiral_point,
 )
-from spiralns.spiral import invert_arc_lengths, map_genotypes
 
 PARAMS = SpiralParams()
 
@@ -218,7 +228,8 @@ ARC_LENGTHS = st.lists(
 
 
 class TestVectorisedMapping:
-    """The array routines of the generation loop equal the scalar ones bit for bit."""
+    """The array routines of the generation loop equal the scalar reference
+    in tests/oracles.py bit for bit."""
 
     @settings(deadline=None)
     @given(ARC_LENGTHS)
