@@ -210,12 +210,10 @@ class GridArchive(_Archive):
             raise ValueError(f"resolution must be >= 1, got {resolution}")
         if not 0.0 <= epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0,1), got {epsilon}")
-        self.params = params
         self.resolution = resolution
         self.epsilon = epsilon
         self.lower = -params.extent
-        self.upper = params.extent
-        self.cell_width = (self.upper - self.lower) / resolution
+        self.cell_width = (params.extent - self.lower) / resolution
         # Cells are never emptied: each keeps its first occupant's column.
         self._slots = {}
         self._rows = _Rows(_NO_ENTRIES)
@@ -224,21 +222,20 @@ class GridArchive(_Archive):
         """Fresh records of the occupants, in order of their cells' first fill."""
         return to_records(self._rows.view())
 
-    def _axis_index(self, v: float) -> int:
+    def cell_indices(self, points: np.ndarray) -> list:
+        """(row, col) cells of the points in x and y rows (2, n); row indexes y, col x."""
         # Clamp before flooring: far-off points divide to an infinite quotient.
-        q = (v - self.lower) / self.cell_width
-        return int(math.floor(min(max(q, 0.0), self.resolution - 1)))
+        # On Python numbers, so the last index stays exact past 2**53.
+        with np.errstate(over="ignore"):
+            q = (points[::-1] - self.lower) / self.cell_width
+        rows, cols = np.floor(np.clip(q.astype(object), 0.0, self.resolution - 1)).tolist()
+        return list(zip(rows, cols))
 
-    def cell_index(self, x: float, y: float) -> tuple[int, int]:
-        """(row, col) of the cell containing the point; row indexes y, col x."""
-        return self._axis_index(y), self._axis_index(x)
-
-    def insert(self, candidate: np.ndarray, rng: np.random.Generator) -> bool:
-        """Insert a copy of the candidate column; returns whether its cell was empty."""
-        idx = self.cell_index(*candidate[X : Y + 1].tolist())
-        slot = self._slots.get(idx)
+    def insert(self, cell: tuple, candidate: np.ndarray, rng: np.random.Generator) -> bool:
+        """Copy the candidate column into its cell; returns whether the cell was empty."""
+        slot = self._slots.get(cell)
         if slot is None:
-            self._slots[idx] = len(self._rows)
+            self._slots[cell] = len(self._rows)
             self._rows.append(candidate)
             return True
         if rng.random() < self.epsilon:

@@ -124,6 +124,10 @@ def _header_value(path, header, key):
         raise ConfigError(f"{path}: {e}") from None
 
 
+# Header keys that fix the curve and the start marker: every plotted file must agree on them.
+_CURVE_KEYS = ("spiral.a", "spiral.alpha", "evolution.init_t0")
+
+
 def _cmd_plot(args) -> int:
     import numpy as np
 
@@ -132,16 +136,21 @@ def _cmd_plot(args) -> int:
     first = None
     for path in paths:
         header, columns = read_lineage(path)
-        pop_size, init_t0, a, alpha = [
-            _header_value(path, header, key)
-            for key in ("evolution.pop_size", "evolution.init_t0", "spiral.a", "spiral.alpha")
+        pop_size, *curve = [
+            _header_value(path, header, key) for key in ("evolution.pop_size", *_CURVE_KEYS)
         ]
         if first is None:
-            first = header, init_t0, SpiralParams(a, alpha)
-        ts_parts.append(np.full(pop_size, init_t0))
+            first = path, header, curve
+        for key, value, expected in zip(_CURVE_KEYS, curve, first[2]):
+            if value != expected:
+                raise ConfigError(
+                    f"{path}: {key} = {value!r} differs from {expected!r} in {first[0]}"
+                )
+        ts_parts.append(np.full(pop_size, curve[2]))
         ts_parts.append(columns["child_t"])
-    header, init_t0, params = first
-    emit_svg(np.concatenate(ts_parts), params, init_t0, args.out, list(header.items()))
+    _, header, (a, alpha, init_t0) = first
+    emit_svg(np.concatenate(ts_parts), SpiralParams(a, alpha), init_t0, args.out,
+             list(header.items()))
     print(f"wrote {args.out}")
     return 0
 

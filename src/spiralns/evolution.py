@@ -439,7 +439,8 @@ def step_generation(
     if isinstance(archive, UnstructuredArchive):
         archive.update(pool[:, survivors], rng)
     elif isinstance(archive, GridArchive):
-        kappas = [archive.insert(pool[:, j], rng) for j in range(m, pool.shape[1])]
+        cells = archive.cell_indices(kids[X : Y + 1])
+        kappas = [archive.insert(cell, pool[:, j], rng) for j, cell in enumerate(cells, m)]
 
     born = np.empty(kids.shape[1], LINEAGE_DTYPE)
     born["generation"] = g_next

@@ -5,6 +5,9 @@ The package computes the spiral's geometry with the array routines of
 them: `map_genotypes` and `invert_arc_lengths` must equal `map_genotype`,
 `invert_arc_length` and `arc_length_from_origin` here bit for bit, and the
 record-based test fixtures build their behavior points with them.
+
+`cell_index` is the same kind of reference for the grid archive: the cells
+`GridArchive.cell_indices` finds must equal it, one point at a time.
 """
 
 import math
@@ -128,3 +131,14 @@ def genotype_at_curve_parameter(
     if space is GenotypeSpace.ANGLE:
         return Genotype(t, space)
     return Genotype(arc_length_from_origin(t, params), space)
+
+
+def _axis_index(archive, v: float) -> int:
+    # Clamp before flooring: far-off points divide to an infinite quotient.
+    q = (v - archive.lower) / archive.cell_width
+    return int(math.floor(min(max(q, 0.0), archive.resolution - 1)))
+
+
+def cell_index(archive, x: float, y: float) -> tuple[int, int]:
+    """(row, col) of the grid archive's cell containing the point; row indexes y, col x."""
+    return _axis_index(archive, y), _axis_index(archive, x)

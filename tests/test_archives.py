@@ -23,12 +23,12 @@ from spiralns import (
     step_generation,
     update_discovery_scores,
 )
-from spiralns.archives import ID
+from spiralns.archives import ID, NOVELTY, X, Y
 from spiralns.evolution import Individual
 from spiralns.spiral import BehaviorPoint
 
 from helpers import coords, to_columns, unstructured_archive
-from oracles import arc_length_from_origin, spiral_point
+from oracles import arc_length_from_origin, cell_index, spiral_point
 
 PARAMS = SpiralParams()
 
@@ -71,6 +71,17 @@ def at_xy(x: float, y: float, ident: int) -> Individual:
 
 def column(individual: Individual) -> np.ndarray:
     return to_columns([individual])[:, 0]
+
+
+def cell_of(archive, x: float, y: float) -> tuple:
+    (cell,) = archive.cell_indices(np.array([[x], [y]]))
+    return cell
+
+
+def insert(archive, candidate: np.ndarray, rng) -> bool:
+    """Insert one column into the cell cell_indices finds for it, as step_generation does."""
+    (cell,) = archive.cell_indices(candidate[X : Y + 1, None])
+    return archive.insert(cell, candidate, rng)
 
 
 class TestUnstructuredArchive:
@@ -142,19 +153,19 @@ class TestGridArchive:
 
     def test_center_maps_to_cell_with_lower_corner_at_origin(self):
         arch = GridArchive(params=PARAMS, resolution=50)
-        assert arch.cell_index(0.0, 0.0) == (25, 25)
+        assert cell_of(arch, 0.0, 0.0) == (25, 25)
 
     def test_upper_corner_maps_to_last_cell(self):
         arch = GridArchive(params=PARAMS, resolution=50)
         e = PARAMS.extent
-        assert arch.cell_index(e, e) == (49, 49)
-        assert arch.cell_index(-e, -e) == (0, 0)
+        assert cell_of(arch, e, e) == (49, 49)
+        assert cell_of(arch, -e, -e) == (0, 0)
 
     @given(st.integers(1, 200), _POINTS)
     def test_cell_index_in_bounds_for_any_finite_point(self, resolution, point):
         arch = GridArchive(params=PARAMS, resolution=resolution)
         x, y = point
-        index = arch.cell_index(x, y)
+        index = cell_of(arch, x, y)
         assert all(0 <= i < resolution for i in index)
         # Where the quotient is finite, the index is the clamped floor of it.
         for i, v in zip(index, (y, x)):
@@ -162,16 +173,27 @@ class TestGridArchive:
             if math.isfinite(q):
                 assert i == min(max(math.floor(q), 0), resolution - 1)
 
+    @given(
+        st.one_of(st.integers(1, 200), st.sampled_from([2**63 + 1, 2**64, 3**41])),
+        st.lists(_POINTS, min_size=1, max_size=8),
+    )
+    def test_cell_indices_equal_scalar_reference(self, resolution, points):
+        # Past 2**53 the last index resolution - 1 need not be a float.
+        arch = GridArchive(params=PARAMS, resolution=resolution)
+        cells = arch.cell_indices(np.array(points).T)
+        assert cells == [cell_index(arch, x, y) for x, y in points]
+        assert all(type(i) is int for cell in cells for i in cell)
+
     def test_row_is_y_and_col_is_x(self):
         arch = GridArchive(params=PARAMS, resolution=50)
         w = 2 * PARAMS.extent / 50
-        row, col = arch.cell_index(-PARAMS.extent + 3.5 * w, -PARAMS.extent)
+        row, col = cell_of(arch, -PARAMS.extent + 3.5 * w, -PARAMS.extent)
         assert (row, col) == (0, 3)
 
     def test_first_insertion(self):
         rng = np.random.default_rng(5)
         arch = GridArchive(params=PARAMS, resolution=50)
-        was_new = arch.insert(column(ind(10.0, 0)), rng)
+        was_new = insert(arch, column(ind(10.0, 0)), rng)
         assert was_new is True
         assert len(arch) == 1
 
@@ -179,9 +201,9 @@ class TestGridArchive:
         rng = np.random.default_rng(6)
         arch = GridArchive(params=PARAMS, resolution=50, epsilon=0.0)
         first = at_xy(0.001, 0.001, 0)
-        arch.insert(column(first), rng)
+        insert(arch, column(first), rng)
         for i in range(1, 50):
-            was_new = arch.insert(column(at_xy(0.002, 0.002, i)), rng)
+            was_new = insert(arch, column(at_xy(0.002, 0.002, i)), rng)
             assert was_new is False
         (occupant,) = arch.individuals()
         assert occupant.id == 0
@@ -189,12 +211,12 @@ class TestGridArchive:
     def test_epsilon_replacement_rate_is_binomial(self):
         rng = np.random.default_rng(7)
         arch = GridArchive(params=PARAMS, resolution=50, epsilon=0.05)
-        arch.insert(column(at_xy(0.001, 0.001, 0)), rng)
+        insert(arch, column(at_xy(0.001, 0.001, 0)), rng)
         n = 10_000
         replacements = 0
         for i in range(1, n + 1):
             before = arch.individuals()[0].id
-            was_new = arch.insert(column(at_xy(0.001, 0.001, i)), rng)
+            was_new = insert(arch, column(at_xy(0.001, 0.001, i)), rng)
             assert was_new is False
             if arch.individuals()[0].id != before:
                 replacements += 1
@@ -205,7 +227,7 @@ class TestGridArchive:
         arch = GridArchive(params=PARAMS, resolution=50, epsilon=0.5)
         count = 0
         for i, t in enumerate(rng.uniform(0, PARAMS.t_max, 500)):
-            arch.insert(column(ind(float(t), i)), rng)
+            insert(arch, column(ind(float(t), i)), rng)
             assert len(arch) >= count
             count = len(arch)
 
@@ -213,27 +235,42 @@ class TestGridArchive:
         rng = np.random.default_rng(9)
         arch = GridArchive(params=PARAMS, resolution=50)
         for i, t in enumerate(rng.uniform(0, PARAMS.t_max, 300)):
-            arch.insert(column(ind(float(t), i)), rng)
+            insert(arch, column(ind(float(t), i)), rng)
         assert_occupants_in_their_cells(arch)
 
     def test_set_etas_skips_retaken_cells(self):
         rng = np.random.default_rng(10)
         arch = GridArchive(params=PARAMS, resolution=50)
-        arch.insert(column(ind(10.0, 1)), rng)
-        arch.insert(column(ind(40.0, 2)), rng)
+        insert(arch, column(ind(10.0, 1)), rng)
+        insert(arch, column(ind(40.0, 2)), rng)
         # Column 1 no longer holds id 99, so its occupant keeps its score.
         arch.set_etas(np.array([0, 1]), np.array([1.0, 99.0]), np.array([0.5, 0.7]))
         assert [o.eta for o in arch.individuals()] == [0.5, 0.0]
 
     def test_out_of_bounds_clamps_to_edge(self):
         arch = GridArchive(params=PARAMS, resolution=50)
-        assert arch.cell_index(99.0, -99.0) == (0, 49)
+        assert cell_of(arch, 99.0, -99.0) == (0, 49)
+
+    def test_occupants_keep_the_novelty_they_were_scored_with(self):
+        # An offspring that found a cell and survived carries one score in both places.
+        cfg = EvolutionConfig(seed=3)
+        arch = GridArchive(params=PARAMS, resolution=50)
+        state = init_population(cfg, PARAMS, archive=arch)
+        compared = 0
+        for g in range(1, 21):
+            step_generation(state, cfg, SamplingStrategy(SamplingMode.MIXED_GUIDED))
+            survivors = dict(zip(state.columns[ID].tolist(), state.columns[NOVELTY].tolist()))
+            for o in arch.individuals():
+                if o.birth_generation == g and o.id in survivors:
+                    assert o.novelty == survivors[o.id]
+                    compared += 1
+        assert compared > 0
 
 
 def assert_occupants_in_their_cells(archive):
     # Each occupied cell maps to the storage column of an occupant lying in it.
     cells = {
-        archive.cell_index(o.behavior.x, o.behavior.y): slot
+        cell_index(archive, o.behavior.x, o.behavior.y): slot
         for slot, o in enumerate(archive.individuals())
     }
     assert cells == archive._slots
@@ -252,9 +289,9 @@ class CheckedUnstructured(UnstructuredArchive):
 
 
 class CheckedGrid(GridArchive):
-    def insert(self, candidate, rng):
+    def insert(self, cell, candidate, rng):
         before = coords(self).copy()
-        was_new = super().insert(candidate, rng)
+        was_new = super().insert(cell, candidate, rng)
         if not was_new and not np.array_equal(coords(self), before):
             self.replacements = getattr(self, "replacements", 0) + 1
         return was_new
@@ -380,7 +417,7 @@ class TestSampleParents:
         rng = np.random.default_rng(17)
         pop = to_columns([ind(1.0, i) for i in range(5)])
         grid = GridArchive(params=PARAMS, resolution=50)
-        grid.insert(column(ind(40.0, 100)), rng)
+        insert(grid, column(ind(40.0, 100)), rng)
         strat = SamplingStrategy(SamplingMode.MIXED_RANDOM, archive_fraction=1.0)
         parents, _ = sample_parents(strat, pop, grid, 10, rng)
         assert np.all(parents[ID] == 100)

@@ -287,6 +287,31 @@ class TestPlot:
         assert stderr == f"error: {bad}: line 40: expected 5 cells, found 6\n"
         assert not (tmp_path / "p.svg").exists()
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_inputs_on_different_curves_exit_2(self, batch_dir, tmp_path, capsys, order):
+        other = tmp_path / "other"
+        assert main(["run", *FAST, "--spiral-a", "0.02", "--init-t0", "50",
+                     "--out", str(other)]) == 0
+        capsys.readouterr()
+        first, later = [batch_dir / "run_000_lineage.csv", other / "run_000_lineage.csv"][::order]
+        a_first, a_later = ["0.01", "0.02"][::order]
+        out = tmp_path / "p.svg"
+        code, _, stderr = run_cli(["plot", str(first), str(later), "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr == f"error: {later}: spiral.a = {a_later} differs from {a_first} in {first}\n"
+        assert not out.exists()
+
+    def test_inputs_may_differ_in_population_size(self, batch_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert main(["run", *FAST, "--pop-size", "12", "--out", str(other)]) == 0
+        out = tmp_path / "p.svg"
+        code, _, _ = run_cli(
+            ["plot", str(batch_dir), str(other / "run_000_lineage.csv"), "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert out.exists()
+
     def test_bad_header_value_names_file_and_key(self, batch_dir, tmp_path, capsys):
         bad = tmp_path / "bad_lineage.csv"
         text = (batch_dir / "run_000_lineage.csv").read_text()
