@@ -106,18 +106,18 @@ class SamplingStrategy:
             raise ValueError(f"tau must be in [0,1], got {self.tau}")
 
 
-class _Rows:
-    """An archive's entries as the columns of a growable (N_ROWS, n) array.
+class _Archive:
+    """The entries of either archive kind, as the columns of a growable
+    (N_ROWS, n) array, read through columns().
 
     Entries are copies: later changes to the columns they came from do not
-    reach the archive.
+    reach the archive.  Each kind defines its own individuals(), so that a
+    tracer can wrap the method per class.
     """
 
-    def __init__(self, cols: np.ndarray):
-        n = cols.shape[1]
-        self._data = np.empty((N_ROWS, max(64, 2 * n)))
-        self._data[:, :n] = cols
-        self._n = n
+    def __init__(self):
+        self._data = np.empty((N_ROWS, 64))
+        self._n = 0
         # Novelty scoring keeps an index over the columns [0, settled) in
         # `index` (see evolution).  `stale` holds the settled columns whose
         # coordinates were overwritten since; columns past `settled` were
@@ -129,43 +129,32 @@ class _Rows:
     def __len__(self):
         return self._n
 
-    def append(self, cols: np.ndarray):
-        """Append one column (shape (N_ROWS,)) or several (N_ROWS, k)."""
-        k = 1 if cols.ndim == 1 else cols.shape[1]
-        if self._n + k > self._data.shape[1]:
-            grown = np.empty((N_ROWS, max(2 * self._data.shape[1], self._n + k)))
-            grown[:, : self._n] = self._data[:, : self._n]
+    def columns(self) -> np.ndarray:
+        """Read-only (N_ROWS, len) view of the entries, one per column."""
+        cols = self._data[:, : self._n]
+        cols.flags.writeable = False
+        return cols
+
+    def _append(self, cols: np.ndarray):
+        """Append the columns of an (N_ROWS, k) array."""
+        n, k = self._n, cols.shape[1]
+        if n + k > self._data.shape[1]:
+            grown = np.empty((N_ROWS, max(2 * self._data.shape[1], n + k)))
+            grown[:, :n] = self._data[:, :n]
             self._data = grown
-        self._data[:, self._n : self._n + k] = cols.reshape(N_ROWS, k)
+        self._data[:, n : n + k] = cols
         self._n += k
 
-    def put(self, i: int, col: np.ndarray):
+    def _put(self, i: int, col: np.ndarray):
         """Overwrite column i with col (shape (N_ROWS,))."""
         self._data[:, i] = col
         if i < self.settled:
             self.stale.add(i)
 
-    def put_etas(self, cols: np.ndarray, etas: np.ndarray):
-        """Overwrite the ETA row of the given columns; coordinates are kept."""
-        self._data[ETA, cols] = etas
-
-    def delete(self, i: int):
+    def _delete(self, i: int):
         self._data[:, i : self._n - 1] = self._data[:, i + 1 : self._n]
         self._n -= 1
         self.index, self.settled, self.stale = None, 0, set()
-
-    def view(self) -> np.ndarray:
-        rows = self._data[:, : self._n]
-        rows.flags.writeable = False
-        return rows
-
-
-class _Archive:
-    """Read access shared by both archive kinds (each defines its own
-    individuals(), so that a tracer can wrap the method per class)."""
-
-    def __len__(self):
-        return len(self._rows)
 
 
 class UnstructuredArchive(_Archive):
@@ -180,11 +169,11 @@ class UnstructuredArchive(_Archive):
             )
         self.max_size = max_size
         self.additions_per_generation = additions_per_generation
-        self._rows = _Rows(_NO_ENTRIES)
+        super().__init__()
 
     def individuals(self) -> list:
         """Fresh records of the members, in storage order."""
-        return to_records(self._rows.view())
+        return to_records(self.columns())
 
     def update(self, population: np.ndarray, rng: np.random.Generator):
         """Copy random population columns in, then evict randomly down to the bound."""
@@ -192,10 +181,10 @@ class UnstructuredArchive(_Archive):
         if not size:
             raise ValueError("cannot update archive from an empty population")
         take = min(self.additions_per_generation, size)
-        self._rows.append(population[:, rng.choice(size, size=take, replace=False)])
+        self._append(population[:, rng.choice(size, size=take, replace=False)])
         if self.max_size is not None:
-            while len(self._rows) > self.max_size:
-                self._rows.delete(int(rng.integers(len(self._rows))))
+            while self._n > self.max_size:
+                self._delete(int(rng.integers(self._n)))
 
 
 class GridArchive(_Archive):
@@ -216,11 +205,11 @@ class GridArchive(_Archive):
         self.cell_width = (params.extent - self.lower) / resolution
         # Cells are never emptied: each keeps its first occupant's column.
         self._slots = {}
-        self._rows = _Rows(_NO_ENTRIES)
+        super().__init__()
 
     def individuals(self) -> list:
         """Fresh records of the occupants, in order of their cells' first fill."""
-        return to_records(self._rows.view())
+        return to_records(self.columns())
 
     def cell_indices(self, points: np.ndarray) -> list:
         """(row, col) cells of the points in x and y rows (2, n); row indexes y, col x."""
@@ -235,11 +224,11 @@ class GridArchive(_Archive):
         """Copy the candidate column into its cell; returns whether the cell was empty."""
         slot = self._slots.get(cell)
         if slot is None:
-            self._slots[cell] = len(self._rows)
-            self._rows.append(candidate)
+            self._slots[cell] = self._n
+            self._append(candidate[:, None])
             return True
         if rng.random() < self.epsilon:
-            self._rows.put(slot, candidate)
+            self._put(slot, candidate)
         return False
 
     def set_etas(self, slots: np.ndarray, ids: np.ndarray, etas: np.ndarray):
@@ -248,8 +237,8 @@ class GridArchive(_Archive):
         A column whose occupant was retaken since its id was read keeps the
         new occupant's score.
         """
-        held = self._rows.view()[ID, slots] == ids
-        self._rows.put_etas(slots[held], etas[held])
+        held = self._data[ID, slots] == ids
+        self._data[ETA, slots[held]] = etas[held]
 
 
 def sample_parents(
@@ -269,7 +258,7 @@ def sample_parents(
     """
     if not population.shape[1]:
         raise ValueError("cannot sample parents from an empty population")
-    entries = archive._rows.view() if archive is not None else _NO_ENTRIES
+    entries = archive.columns() if archive is not None else _NO_ENTRIES
     n_entries = entries.shape[1]
     n_archive = 0
     if strategy.mode is not SamplingMode.POPULATION_ONLY and n_entries:

@@ -84,14 +84,14 @@ class LineageLog(Sequence):
 
     def __init__(self):
         self._blocks = []
-        self._rows = 0
+        self._n = 0
 
     def append(self, block: np.ndarray):
         self._blocks.append(block)
-        self._rows += len(block)
+        self._n += len(block)
 
     def __len__(self) -> int:
-        return self._rows
+        return self._n
 
     def __iter__(self):
         return iter(self[:])  # one pass over the table, not one per record
@@ -349,38 +349,39 @@ def _pool_novelty(
     return _merged_novelty(near, last, k_eff, metric, points)
 
 
-def _settled_tree(rows, metric: Metric):
+def _settled_tree(archive, metric: Metric):
     """The archive's k-d tree over its settled entries.
 
     It is built again when a delete dropped it, or when the entries
     appended or overwritten since the last build pass _REBUILD_AT.
     """
-    unsettled = len(rows) - rows.settled + len(rows.stale)
-    if rows.index is None or rows.index[0] is not metric or unsettled > _REBUILD_AT:
-        rows.index = (metric, _kd_tree(_coordinates(rows.view(), metric)))
-        rows.settled, rows.stale = len(rows), set()
-    return rows.index[1]
+    unsettled = len(archive) - archive.settled + len(archive.stale)
+    if archive.index is None or archive.index[0] is not metric or unsettled > _REBUILD_AT:
+        archive.index = (metric, _kd_tree(_coordinates(archive.columns(), metric)))
+        archive.settled, archive.stale = len(archive), set()
+    return archive.index[1]
 
 
-def _archive_novelty(pool: np.ndarray, rows, k: int, metric: Metric) -> np.ndarray:
+def _archive_novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
     """Score every pool column against pool + archive, excluding itself.
 
-    rows is the archive's storage (`archives._Rows`).  The pool is scored
-    against the archive's settled entries through a k-d tree kept across
-    generations, and densely against itself, the entries appended since the
-    tree was built and the current occupants of overwritten (stale) slots;
-    the tree's candidates in stale slots are dropped.  The scores are
-    bit-identical to _pool_novelty over the same points.
+    The pool is scored against the archive's settled entries through a k-d
+    tree kept across generations, and densely against itself, the entries
+    appended since the tree was built and the current occupants of
+    overwritten (stale) slots; the tree's candidates in stale slots are
+    dropped.  The scores are bit-identical to _pool_novelty over the same
+    points.
     """
     n_pool = pool.shape[1]
-    if not n_pool <= TREE_CROSSOVER < n_pool + len(rows):
-        return _pool_novelty(pool[: ARC + 1], rows.view()[: ARC + 1], k, metric)
-    k_eff = min(k, n_pool + len(rows) - 1)
+    entries = archive.columns()
+    if not n_pool <= TREE_CROSSOVER < n_pool + len(archive):
+        return _pool_novelty(pool[: ARC + 1], entries[: ARC + 1], k, metric)
+    k_eff = min(k, n_pool + len(archive) - 1)
     subjects = _coordinates(pool, metric)
-    coords = _coordinates(rows.view(), metric)
-    tree = _settled_tree(rows, metric)
-    settled = rows.settled
-    stale = np.fromiter(rows.stale, np.intp, len(rows.stale))
+    coords = _coordinates(entries, metric)
+    tree = _settled_tree(archive, metric)
+    settled = archive.settled
+    stale = np.fromiter(archive.stale, np.intp, len(archive.stale))
 
     others = np.concatenate((subjects, coords[:, settled:], coords[:, stale]), axis=1)
     dense = _distance(subjects[:, :, None], others[:, None, :], metric)
@@ -431,7 +432,7 @@ def step_generation(
     if archive is None:
         pool[NOVELTY] = _pool_novelty(pool[: ARC + 1], _NO_POINTS, config.k, config.metric)
     else:
-        pool[NOVELTY] = _archive_novelty(pool, archive._rows, config.k, config.metric)
+        pool[NOVELTY] = _archive_novelty(pool, archive, config.k, config.metric)
 
     # Elitist truncation; ties go to the newer individual, then the lower id.
     survivors = np.lexsort((pool[ID], -pool[BIRTH_GEN], -pool[NOVELTY]))[: config.pop_size]

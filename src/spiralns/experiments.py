@@ -131,6 +131,8 @@ class ExperimentConfig:
     def validate(self):
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.additions_per_generation < 1:
             raise ConfigError(
                 "archive.additions_per_generation must be >= 1, got "
@@ -163,10 +165,18 @@ class ExperimentConfig:
             raise ConfigError(
                 "sampling.mode: guided resampling requires archive.kind = grid"
             )
-        try:
-            self.evolution.validate(self.spiral)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        _keyed("evolution", self.evolution.validate, self.spiral)
+
+
+def _keyed(section: str, build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError raised again as a ConfigError
+    that starts with the dotted key.  A library message starts with the
+    field name, or with dotted keys already (the arc-length check's)."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        named = "." in str(e).split(" ", 1)[0]
+        raise ConfigError(str(e) if named else f"{section}.{e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +408,11 @@ def config_from_items(items: dict) -> ExperimentConfig:
     for row in CONFIG_KEYS:
         section, _, name = row.path.rpartition(".")
         sections[section][name] = values[row.key]
-    try:
-        spiral = SpiralParams(**sections["spiral"])
-    except ValueError as e:
-        raise ConfigError(f"spiral.a/spiral.alpha: {e}") from e
-    try:
-        sampling = SamplingStrategy(**sections["sampling"])
-    except ValueError as e:
-        raise ConfigError(f"sampling: {e}") from e
     config = ExperimentConfig(
         **sections[""],
-        spiral=spiral,
+        spiral=_keyed("spiral", SpiralParams, **sections["spiral"]),
         evolution=EvolutionConfig(**sections["evolution"]),
-        sampling=sampling,
+        sampling=_keyed("sampling", SamplingStrategy, **sections["sampling"]),
     )
     config.validate()
     return config
@@ -479,8 +481,13 @@ class RunTelemetry:
     seed: int
     telemetry: np.ndarray  # TELEMETRY_DTYPE, one row per generation
     lineage: np.ndarray  # LINEAGE_DTYPE, one row per offspring
-    final_archive: list
+    archive: object  # the run's final archive: None, UnstructuredArchive or GridArchive
     evaluated_ts: np.ndarray  # curve parameter of every evaluated individual
+
+    @property
+    def final_archive(self) -> list:
+        """Fresh records of the final archive's entries ([] without an archive)."""
+        return self.archive.individuals() if self.archive is not None else []
 
 
 @dataclass
@@ -531,13 +538,12 @@ def run_single(config: ExperimentConfig, run_index: int = 0) -> RunTelemetry:
     table["grid_occupied"] = sizes if isinstance(state.archive, GridArchive) else 0
     table["max_novelty"] = max_novelty
 
-    final_archive = state.archive.individuals() if state.archive is not None else []
     return RunTelemetry(
         run_index=run_index,
         seed=seed,
         telemetry=table,
         lineage=lineage,
-        final_archive=final_archive,
+        archive=state.archive,
         evaluated_ts=evaluated_ts,
     )
 

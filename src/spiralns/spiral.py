@@ -53,7 +53,7 @@ class SpiralParams:
 
     def __post_init__(self):
         if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError(f"spiral pitch a must be positive and finite, got {self.a}")
+            raise ValueError(f"a must be positive and finite, got {self.a}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 

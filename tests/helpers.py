@@ -22,17 +22,22 @@ def to_columns(individuals) -> np.ndarray:
     return cols
 
 
+def column_archive(cols: np.ndarray, **kwargs) -> UnstructuredArchive:
+    """An unstructured archive holding copies of the columns of an (N_ROWS, n) array."""
+    archive = UnstructuredArchive(**kwargs)
+    archive._append(cols)
+    return archive
+
+
 def unstructured_archive(members, **kwargs) -> UnstructuredArchive:
     """An unstructured archive holding copies of the given records, in order."""
-    archive = UnstructuredArchive(**kwargs)
-    archive._rows.append(to_columns(members))
-    return archive
+    return column_archive(to_columns(members), **kwargs)
 
 
 def coords(archive) -> np.ndarray:
     """Read-only (3, len) view of the entries' x, y and arc_pos rows, the
     rows novelty scoring reads; columns follow individuals()."""
-    return archive._rows.view()[: ARC + 1]
+    return archive.columns()[: ARC + 1]
 
 
 def scalar_median(values) -> float:

@@ -85,6 +85,13 @@ class TestRun:
         assert stderr.startswith("error: spiral.a/spiral.alpha")
         assert not out.exists()
 
+    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code, _, stderr = run_cli(["run", *FAST, "--seed", "-1", "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr.startswith("error: base_seed must be >= 0, got -1")
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(

@@ -21,11 +21,11 @@ from spiralns import (
     step_generation,
 )
 from spiralns import evolution
-from spiralns.archives import N_ROWS, _Rows
+from spiralns.archives import ETA, N_ROWS
 from spiralns.evolution import TREE_CROSSOVER, Individual, _pool_novelty
 from spiralns.spiral import BehaviorPoint
 
-from helpers import to_columns, unstructured_archive
+from helpers import column_archive, to_columns, unstructured_archive
 from oracles import (
     arc_length_from_origin,
     genotype_at_curve_parameter,
@@ -344,16 +344,16 @@ def spiral_columns(ts) -> np.ndarray:
     return cols
 
 
-def dense_scores(pool, rows, k, metric):
+def dense_scores(pool, archive, k, metric):
     """The dense routine over pool + archive: the oracle the index must equal."""
-    points = evolution._coordinates(np.concatenate((pool, rows.view()), axis=1), metric)
+    points = evolution._coordinates(np.concatenate((pool, archive.columns()), axis=1), metric)
     k_eff = min(k, points.shape[1] - 1)
     return evolution._dense_novelty(points, np.arange(pool.shape[1]), k_eff, metric)
 
 
-def assert_bit_equal(pool, rows, k, metric):
-    got = evolution._archive_novelty(pool, rows, k, metric)
-    want = dense_scores(pool, rows, k, metric)
+def assert_bit_equal(pool, archive, k, metric):
+    got = evolution._archive_novelty(pool, archive, k, metric)
+    want = dense_scores(pool, archive, k, metric)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -378,49 +378,50 @@ class TestArchiveIndex:
     def test_matches_the_dense_routine_after_every_change(self, ops, metric, k, seed):
         rng = np.random.default_rng(seed)
         center = rng.uniform(5.0, PARAMS.t_max - 5.0)
-        rows = _Rows(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
+        archive = column_archive(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
         pool = spiral_columns(center + rng.normal(0.0, 1.0, 60))
-        assert_bit_equal(pool, rows, k, metric)
+        assert_bit_equal(pool, archive, k, metric)
         for op, op_seed in ops:
             r = np.random.default_rng(op_seed)
             if op == "append":
-                rows.append(spiral_columns(center + r.normal(0.0, 2.0, r.integers(1, 9))))
+                archive._append(spiral_columns(center + r.normal(0.0, 2.0, r.integers(1, 9))))
             elif op == "append_copies":  # coincident with archive entries or the pool
-                source = rows.view() if r.random() < 0.5 else pool
-                rows.append(source[:, r.integers(source.shape[1], size=r.integers(1, 9))])
+                source = archive.columns() if r.random() < 0.5 else pool
+                archive._append(source[:, r.integers(source.shape[1], size=r.integers(1, 9))])
             elif op == "retake":
-                rows.put(int(r.integers(len(rows))), spiral_columns([center + r.normal()])[:, 0])
-            elif op == "retake_tail" and rows.settled < len(rows):
-                slot = int(r.integers(rows.settled, len(rows)))
-                rows.put(slot, spiral_columns([center + r.normal()])[:, 0])
-                assert slot not in rows.stale
+                slot = int(r.integers(len(archive)))
+                archive._put(slot, spiral_columns([center + r.normal()])[:, 0])
+            elif op == "retake_tail" and archive.settled < len(archive):
+                slot = int(r.integers(archive.settled, len(archive)))
+                archive._put(slot, spiral_columns([center + r.normal()])[:, 0])
+                assert slot not in archive.stale
             elif op == "etas":
-                stale = set(rows.stale)
-                rows.put_etas(r.integers(len(rows), size=5), r.random(5))
-                assert rows.stale == stale
+                stale = set(archive.stale)
+                archive._data[ETA, r.integers(len(archive), size=5)] = r.random(5)
+                assert archive.stale == stale
             elif op == "evict":
-                rows.delete(int(r.integers(len(rows))))
+                archive._delete(int(r.integers(len(archive))))
             pool = spiral_columns(center + r.normal(0.0, 1.0, 60))
-            assert_bit_equal(pool, rows, k, metric)
+            assert_bit_equal(pool, archive, k, metric)
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_thirty_coincident_generation_zero_clones(self, metric):
         rng = np.random.default_rng(41)
         t0 = 28 * math.pi
-        rows = _Rows(spiral_columns(t0 + rng.normal(0.0, 3.0, TREE_CROSSOVER)))
+        archive = column_archive(spiral_columns(t0 + rng.normal(0.0, 3.0, TREE_CROSSOVER)))
         clones = spiral_columns(np.full(30, t0))
         for spread in (0.0, 0.3):
             pool = np.concatenate((clones, spiral_columns(t0 + rng.normal(0.0, spread, 30))), axis=1)
-            assert_bit_equal(pool, rows, 10, metric)
+            assert_bit_equal(pool, archive, 10, metric)
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_more_neighbors_than_candidates(self, metric):
         rng = np.random.default_rng(42)
-        rows = _Rows(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
+        archive = column_archive(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
         for n_pool in (2, 11, 60):
             pool = spiral_columns(rng.uniform(0.0, PARAMS.t_max, n_pool))
             for k in (TREE_CROSSOVER - 20, TREE_CROSSOVER + n_pool - 1, 5000):
-                assert_bit_equal(pool, rows, k, metric)
+                assert_bit_equal(pool, archive, k, metric)
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_coincident_archive_copies_take_the_dense_fallback(self, metric, monkeypatch):
@@ -429,44 +430,45 @@ class TestArchiveIndex:
         rng = np.random.default_rng(43)
         ts = np.linspace(60.0, 80.0, 60)
         far = spiral_columns(rng.uniform(0.0, 10.0, TREE_CROSSOVER))
-        rows = _Rows(np.concatenate((far, spiral_columns(np.full(40, ts[30]))), axis=1))
+        copies = spiral_columns(np.full(40, ts[30]))
+        archive = column_archive(np.concatenate((far, copies), axis=1))
         pool = spiral_columns(ts)
         calls = []
         dense = evolution._dense_novelty
         monkeypatch.setattr(
             evolution, "_dense_novelty", lambda p, r, *a: calls.append(len(r)) or dense(p, r, *a)
         )
-        assert_bit_equal(pool, rows, 10, metric)
+        assert_bit_equal(pool, archive, 10, metric)
         assert len(calls) == 2  # the index's fallback, then the oracle
 
     def test_one_build_per_bound_of_changes(self, monkeypatch):
         rng = np.random.default_rng(44)
-        rows = _Rows(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
+        archive = column_archive(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
         pool = spiral_columns(rng.uniform(0.0, PARAMS.t_max, 60))
         builds = []
         build = evolution._kd_tree
         monkeypatch.setattr(evolution, "_kd_tree", lambda p: builds.append(p) or build(p))
         appends = 3 * evolution._REBUILD_AT
         for _ in range(appends):
-            rows.append(spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1)))
+            archive._append(spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1)))
             # Rewriting a slot still in the tail, or any slot's eta, adds no
             # work for the next build.
-            rows.put(len(rows) - 1, spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1))[:, 0])
-            rows.put_etas(np.arange(5), np.ones(5))
-            assert not rows.stale
-            evolution._archive_novelty(pool, rows, 10, Metric.EUCLIDEAN)
+            archive._put(len(archive) - 1, spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1))[:, 0])
+            archive._data[ETA, :5] = 1.0
+            assert not archive.stale
+            evolution._archive_novelty(pool, archive, 10, Metric.EUCLIDEAN)
         assert len(builds) == 1 + appends // (evolution._REBUILD_AT + 1)
 
     def test_an_eviction_drops_the_index(self):
         rng = np.random.default_rng(45)
-        rows = _Rows(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
+        archive = column_archive(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
         pool = spiral_columns(rng.uniform(0.0, PARAMS.t_max, 60))
-        evolution._archive_novelty(pool, rows, 10, Metric.EUCLIDEAN)
-        rows.put(3, rows.view()[:, 4].copy())
-        assert rows.index is not None and rows.stale == {3}
-        rows.delete(0)
-        assert rows.index is None and rows.settled == 0 and not rows.stale
-        assert_bit_equal(pool, rows, 10, Metric.EUCLIDEAN)
+        evolution._archive_novelty(pool, archive, 10, Metric.EUCLIDEAN)
+        archive._put(3, archive.columns()[:, 4].copy())
+        assert archive.index is not None and archive.stale == {3}
+        archive._delete(0)
+        assert archive.index is None and archive.settled == 0 and not archive.stale
+        assert_bit_equal(pool, archive, 10, Metric.EUCLIDEAN)
 
 
 class TestStepGeneration:

@@ -192,7 +192,7 @@ def valid_items(draw) -> dict:
     items = {
         "scenario": scenario.value,
         "runs": str(draw(st.integers(1, 50))),
-        "base_seed": str(draw(st.integers(-1000, 10**9))),
+        "base_seed": str(draw(st.integers(0, 10**9))),
         "output_dir": draw(st.from_regex(r"[A-Za-z0-9_.][A-Za-z0-9_./-]{0,15}", fullmatch=True)),
         "spiral.a": repr(a),
         "spiral.alpha": repr(alpha),
@@ -241,6 +241,20 @@ def test_enum_key_help_names_exactly_the_enum_values():
         ({"archive.resolution": "-3"}, "archive.resolution"),
         ({"archive.kind": "grid", "archive.epsilon": "1.0"}, "archive.epsilon"),
         ({"archive.epsilon": "-0.1"}, "archive.epsilon"),
+        ({"evolution.pop_size": "0"}, "evolution.pop_size"),
+        ({"evolution.offspring_size": "0"}, "evolution.offspring_size"),
+        ({"evolution.k": "0"}, "evolution.k"),
+        ({"evolution.g_max": "0"}, "evolution.g_max"),
+        ({"evolution.sigma": "-1"}, "evolution.sigma"),
+        ({"evolution.init_t0": "-1"}, "evolution.init_t0"),
+        ({"sampling.tau": "2"}, "sampling.tau"),
+        (
+            {"archive.kind": "grid", "sampling.mode": "mixed_random",
+             "sampling.archive_fraction": "1.5"},
+            "sampling.archive_fraction",
+        ),
+        ({"spiral.a": "-1"}, "spiral.a"),
+        ({"spiral.alpha": "0"}, "spiral.alpha"),
     ],
 )
 def test_grid_settings_checked_for_every_archive_kind(items, key):
@@ -699,8 +713,8 @@ class TestSvg:
     ],
 )
 def test_generation_loop_builds_no_records(items, monkeypatch):
-    # Records are built only where the state is read from outside the loop
-    # (the final archive), never per generation.
+    # Records are built only where the state is read from outside the loop,
+    # never per generation.
     from spiralns import BehaviorPoint, Genotype, Individual, experiments
     from spiralns.archives import N_ROWS, to_records
 
@@ -726,3 +740,34 @@ def test_generation_loop_builds_no_records(items, monkeypatch):
     before = len(built)
     to_records(np.zeros((N_ROWS, 1)))
     assert len(built) == before + 3  # the counter is live
+
+
+@pytest.mark.parametrize("kind", ["unstructured_bounded", "grid"])
+def test_a_run_builds_no_records(kind, monkeypatch):
+    # The final archive's records are built on each read of final_archive,
+    # not by the run.
+    from spiralns import archives
+
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or original(*a))
+
+    counted(archives, "to_records")
+    counted(archives.UnstructuredArchive, "individuals")
+    counted(archives.GridArchive, "individuals")
+    items = {"archive.kind": kind, "evolution.g_max": "20", "runs": "1"}
+    if kind == "unstructured_bounded":
+        items["archive.max_size"] = "50"
+    tel = run_single(config_from_items(items))
+    assert calls == []
+    first, second = tel.final_archive, tel.final_archive
+    assert first is not second and first == second
+    assert len(first) == len(tel.archive) > 0
+    assert calls == ["individuals", "to_records"] * 2
+
+
+def test_a_run_without_archive_has_an_empty_final_archive():
+    tel = run_single(config_from_items({"evolution.g_max": "3", "runs": "1"}))
+    assert tel.archive is None and tel.final_archive == []
