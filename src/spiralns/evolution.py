@@ -75,6 +75,14 @@ LINEAGE_DTYPE = np.dtype(
 LineageEntry = namedtuple("LineageEntry", LINEAGE_DTYPE.names)
 
 
+def _join(blocks) -> np.ndarray:
+    """The blocks' rows as one fresh LINEAGE_DTYPE array."""
+    # Joined as bytes: numpy concatenates structured arrays field by field,
+    # about six times slower over a run's thousand blocks.
+    raw = [block.view(np.uint8) for block in blocks]
+    return np.concatenate((np.empty(0, np.uint8), *raw)).view(LINEAGE_DTYPE)
+
+
 class LineageLog(Sequence):
     """The run's lineage: LINEAGE_DTYPE rows, read as LineageEntry records.
 
@@ -97,17 +105,19 @@ class LineageLog(Sequence):
         return iter(self[:])  # one pass over the table, not one per record
 
     def __getitem__(self, i):
-        rows = self.table()[i].tolist()
+        # Reads share one joined block until the next append, which joins
+        # only it and the new block: a reader slicing each generation's new
+        # rows does not rejoin the whole run per read.
+        if len(self._blocks) != 1:
+            self._blocks = [_join(self._blocks)]
+        rows = self._blocks[0][i].tolist()
         if isinstance(i, slice):
             return list(starmap(LineageEntry, rows))
         return LineageEntry(*rows)
 
     def table(self) -> np.ndarray:
         """Every row so far, as one fresh LINEAGE_DTYPE array."""
-        # Joined as bytes: numpy concatenates structured arrays field by
-        # field, about six times slower over a run's thousand blocks.
-        raw = [block.view(np.uint8) for block in self._blocks]
-        return np.concatenate((np.empty(0, np.uint8), *raw)).view(LINEAGE_DTYPE)
+        return _join(self._blocks)
 
 
 @dataclass

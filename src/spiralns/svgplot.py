@@ -21,16 +21,22 @@ MAX_DOTS = 20000
 CURVE_STEP = 0.02  # curve parameter increment between polyline vertices
 
 
+# One dot of the behaviors; "%.2f" formats as f"{x:.2f}" does.
+DOT = '<circle cx="%.2f" cy="%.2f" r="1.6" fill="#1f77b4" fill-opacity="0.55"/>'
+
+
 def _projected(ts: np.ndarray, params: SpiralParams) -> tuple:
-    """Canvas coordinates of the curve points at parameters ts, as lists."""
+    """Canvas coordinates of the curve points at parameters ts, as one tuple
+    x0, y0, x1, y1, ... for %-formatting."""
     if ts.size and not (0.0 <= ts.min() and ts.max() <= params.t_max):
         raise ValueError(f"curve parameters outside the curve domain [0, {params.t_max}]")
     extent = params.extent
     scale = (SIZE - 2 * MARGIN) / (2 * extent)
     r = params.a * ts
-    px = MARGIN + (r * np.cos(ts) + extent) * scale
-    py = MARGIN + (extent - r * np.sin(ts)) * scale
-    return px.tolist(), py.tolist()
+    xy = np.empty((ts.size, 2))
+    xy[:, 0] = MARGIN + (r * np.cos(ts) + extent) * scale
+    xy[:, 1] = MARGIN + (extent - r * np.sin(ts)) * scale
+    return tuple(xy.ravel().tolist())
 
 
 def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str:
@@ -45,9 +51,11 @@ def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str
         parts.append(f"<!-- {text} -->")
     parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
 
+    # Each run of points is formatted with one % over a repeated template.
     n_curve = int(math.floor(params.t_max / CURVE_STEP)) + 1
-    px, py = _projected(np.linspace(0.0, params.t_max, n_curve), params)
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    points = " ".join(["%.2f,%.2f"] * n_curve) % _projected(
+        np.linspace(0.0, params.t_max, n_curve), params
+    )
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#bbbbbb" stroke-width="1"/>'
     )
@@ -56,16 +64,12 @@ def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str
     if ts.size > MAX_DOTS:
         stride = int(math.ceil(ts.size / MAX_DOTS))
         ts = ts[::stride]
-    px, py = _projected(ts, params)
-    parts.extend(
-        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="#1f77b4" fill-opacity="0.55"/>'
-        for x, y in zip(px, py)
-    )
+    if ts.size:
+        parts.append("\n".join([DOT] * ts.size) % _projected(ts, params))
 
-    (sx,), (sy,) = _projected(np.array([init_t0]), params)
     parts.append(
-        f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="5" fill="#d62728" '
-        'stroke="black" stroke-width="1"/>'
+        '<circle cx="%.2f" cy="%.2f" r="5" fill="#d62728" stroke="black" stroke-width="1"/>'
+        % _projected(np.array([init_t0]), params)
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -8,9 +8,17 @@ record-based test fixtures build their behavior points with them.
 
 `cell_index` is the same kind of reference for the grid archive: the cells
 `GridArchive.cell_indices` finds must equal it, one point at a time.
+
+`write_table_csv` and `render_svg` are the references for the artifact text:
+the run tables through the csv module, row by row, and the SVG panel with one
+f-string per point.  The package's block writer and template renderer must
+write the same bytes.
 """
 
+import csv
 import math
+
+import numpy as np
 
 from spiralns.spiral import (
     INVERSION_TOL,
@@ -21,6 +29,7 @@ from spiralns.spiral import (
     SpiralParams,
     genotype_bounds,
 )
+from spiralns.svgplot import CURVE_STEP, MARGIN, MAX_DOTS, SIZE
 
 
 def _check_t(t: float, params: SpiralParams, what: str = "t"):
@@ -142,3 +151,61 @@ def _axis_index(archive, v: float) -> int:
 def cell_index(archive, x: float, y: float) -> tuple[int, int]:
     """(row, col) of the grid archive's cell containing the point; row indexes y, col x."""
     return _axis_index(archive, y), _axis_index(archive, x)
+
+
+def write_table_csv(path, header_lines, table: np.ndarray):
+    """A run table as the csv module writes its tolist() rows, after the
+    header lines and a row of the dtype's field names."""
+    with open(path, "w", newline="\n") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.dtype.names)
+        writer.writerows(table.tolist())
+
+
+def _projected(ts: np.ndarray, params: SpiralParams) -> tuple:
+    extent = params.extent
+    scale = (SIZE - 2 * MARGIN) / (2 * extent)
+    r = params.a * ts
+    px = MARGIN + (r * np.cos(ts) + extent) * scale
+    py = MARGIN + (extent - r * np.sin(ts)) * scale
+    return px.tolist(), py.tolist()
+
+
+def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str:
+    """The SVG panel built point by point, one f-string each."""
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+    ]
+    for key, value in header_items:
+        text = f"{key} = {value}".replace("--", "- -")
+        parts.append(f"<!-- {text} -->")
+    parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
+
+    n_curve = int(math.floor(params.t_max / CURVE_STEP)) + 1
+    px, py = _projected(np.linspace(0.0, params.t_max, n_curve), params)
+    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    parts.append(
+        f'<polyline points="{points}" fill="none" stroke="#bbbbbb" stroke-width="1"/>'
+    )
+
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.size > MAX_DOTS:
+        stride = int(math.ceil(ts.size / MAX_DOTS))
+        ts = ts[::stride]
+    px, py = _projected(ts, params)
+    parts.extend(
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="#1f77b4" fill-opacity="0.55"/>'
+        for x, y in zip(px, py)
+    )
+
+    (sx,), (sy,) = _projected(np.array([init_t0]), params)
+    parts.append(
+        f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="5" fill="#d62728" '
+        'stroke="black" stroke-width="1"/>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -111,6 +111,7 @@ def test_criterion_2_metric_contradiction(criterion):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_archive_free_settings(criterion, fig2_batches):
     cum = {name: b.cumulative.fraction for name, b in fig2_batches.items()}
     inward = {
@@ -134,6 +135,7 @@ def test_criterion_3_archive_free_settings(criterion, fig2_batches):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_unbounded_archive_oscillation(criterion, fig3a_batch):
     cum = fig3a_batch.cumulative.fraction
     n_signs_ok = 0
@@ -157,6 +159,7 @@ def test_criterion_4_unbounded_archive_oscillation(criterion, fig3a_batch):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_archive_size_sweep(criterion, sweep_batches):
     rates = {name: success_rate(b) for name, b in sweep_batches.items()}
     small = {"Fig3e": 50, "Fig3c": 100, "Fig3f": 200}
@@ -170,6 +173,7 @@ def test_criterion_5_archive_size_sweep(criterion, sweep_batches):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_structured_archive_ordering(criterion, grid_batches):
     med = {name: median_coverage(b) for name, b in grid_batches.items()}
     guided_rate = success_rate(grid_batches["Fig3l"])
@@ -187,6 +191,7 @@ def test_criterion_6_structured_archive_ordering(criterion, grid_batches):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_resampling_vs_large_population(criterion):
     med_i = median_coverage(batch("Fig3i", "runs = 5\n"))
     med_j = median_coverage(batch("Fig3j"))

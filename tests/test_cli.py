@@ -124,6 +124,25 @@ class TestBatch:
         assert "cumulative coverage" in stdout
         assert (out / "run_002_lineage.csv").exists()
 
+    def test_smaller_batch_removes_the_earlier_batchs_extra_runs(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        argv = ["batch", *FAST, "--g-max", "25", "--out", str(out)]
+        assert run_cli([*argv, "--runs", "3"], capsys)[0] == 0
+        # Files the batch does not write stay, run-like names included.
+        kept = ["notes.txt", "run_001_notes.csv", "run_5_lineage.csv", "run_0002_lineage.csv"]
+        for name in kept:
+            (out / name).write_text("x\n")
+        (out / "run_004_telemetry.csv").mkdir()
+        assert run_cli([*argv, "--runs", "1"], capsys)[0] == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            *kept, "cumulative.svg", "run_000_lineage.csv", "run_000_telemetry.csv",
+            "run_004_telemetry.csv", "summary.csv",
+        ])
+        os.rmdir(out / "run_004_telemetry.csv")
+        code, stdout, _ = run_cli(["analyze", str(out), "--out", str(tmp_path / "a.csv")],
+                                  capsys)
+        assert code == 0 and stdout.count(": coverage ") == 1
+
     def test_bad_key_value_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["batch", "--scenario", "Custom", "--sigma", "-1", "--out", str(tmp_path)],
