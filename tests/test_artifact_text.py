@@ -35,7 +35,7 @@ CONFIG = config_from_items({"scenario": "Custom", "evolution.g_max": "10"})
 
 @st.composite
 def columns(draw, n):
-    """(dtype, table) with one to six int64 and float64 columns of n rows
+    """A table of n rows in one to six int64 and float64 columns, its cells
     drawn from a small pool, the special values and random bit patterns."""
     kinds = draw(st.lists(st.sampled_from(["i8", "f8"]), min_size=1, max_size=6))
     floats = draw(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=8))

@@ -482,7 +482,7 @@ class TestRunTables:
         table["child_id"] = -1  # a fresh array each call
         assert state.lineage_log.table().tobytes() == lineage.tobytes()
 
-    def test_slicing_each_generation_joins_each_block_once(self, monkeypatch):
+    def test_reads_share_one_join_until_the_next_append(self, monkeypatch):
         # A 1,000-generation run read the way the benchmark's replay reads it:
         # each generation's new rows sliced off after each step.
         from spiralns import evolution
