@@ -23,7 +23,7 @@ from itertools import starmap
 import numpy as np
 
 from .archives import ARC, BIRTH_DELTA, BIRTH_GEN, ETA, ID, N_ROWS, NOVELTY, PARENT_ID
-from .archives import SPACE, T, VALUE, X, Y
+from .archives import SPACE, T, VALUE, X, Y, _Store
 from .archives import (
     GridArchive,
     Individual,
@@ -75,49 +75,30 @@ LINEAGE_DTYPE = np.dtype(
 LineageEntry = namedtuple("LineageEntry", LINEAGE_DTYPE.names)
 
 
-def _join(blocks) -> np.ndarray:
-    """The blocks' rows as one fresh LINEAGE_DTYPE array."""
-    # Joined as bytes: numpy concatenates structured arrays field by field,
-    # about six times slower over a run's thousand blocks.
-    raw = [block.view(np.uint8) for block in blocks]
-    return np.concatenate((np.empty(0, np.uint8), *raw)).view(LINEAGE_DTYPE)
-
-
-class LineageLog(Sequence):
+class LineageLog(_Store, Sequence):
     """The run's lineage: LINEAGE_DTYPE rows, read as LineageEntry records.
 
-    step_generation appends one block of rows per generation.  Records are
+    step_generation writes one block of new rows per generation.  Records are
     built only for the rows a reader indexes, slices or iterates over.
     """
 
     def __init__(self):
-        self._blocks = []
-        self._n = 0
+        super().__init__((), LINEAGE_DTYPE)
 
-    def append(self, block: np.ndarray):
-        self._blocks.append(block)
-        self._n += len(block)
-
-    def __len__(self) -> int:
-        return self._n
+    new_rows = _Store._new  # the slots of k more rows, for step_generation to fill
 
     def __iter__(self):
         return iter(self[:])  # one pass over the table, not one per record
 
     def __getitem__(self, i):
-        # Reads share one joined block until the next append, which joins
-        # only it and the new block: a reader slicing each generation's new
-        # rows does not rejoin the whole run per read.
-        if len(self._blocks) != 1:
-            self._blocks = [_join(self._blocks)]
-        rows = self._blocks[0][i].tolist()
+        rows = self._data[: self._n][i].tolist()
         if isinstance(i, slice):
             return list(starmap(LineageEntry, rows))
         return LineageEntry(*rows)
 
     def table(self) -> np.ndarray:
         """Every row so far, as one fresh LINEAGE_DTYPE array."""
-        return _join(self._blocks)
+        return self._data[: self._n].copy()
 
 
 @dataclass
@@ -453,11 +434,10 @@ def step_generation(
         cells = archive.cell_indices(kids[X : Y + 1])
         kappas = [archive.insert(cell, pool[:, j], rng) for j, cell in enumerate(cells, m)]
 
-    born = np.empty(kids.shape[1], LINEAGE_DTYPE)
+    born = state.lineage_log.new_rows(kids.shape[1])
     born["generation"] = g_next
     born["child_id"], born["parent_id"] = kids[ID], parents[ID]
     born["child_t"], born["parent_t"] = kids[T], parents[T]
-    state.lineage_log.append(born)
 
     if guided:
         # The parent pool of this generation: the pre-selection population

@@ -56,6 +56,14 @@ class SpiralParams:
             raise ValueError(f"a must be positive and finite, got {self.a}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        # Novelty scoring squares coordinate differences: up to 2 * extent on
+        # each axis, and down to ulp(extent), the float spacing at the rim.
+        extent = self.extent
+        if not (8.0 * extent * extent < math.inf and math.ulp(extent) ** 2 >= 2.0**-1022):
+            raise ValueError(
+                f"a: squared distances on a spiral of extent a*alpha*pi = {extent!r} "
+                "overflow or underflow; keep the extent between 1e-138 and 1e153"
+            )
 
     @property
     def t_max(self) -> float:

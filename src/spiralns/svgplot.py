@@ -1,8 +1,8 @@
 """Hand-rolled SVG rendering of the spiral and the behaviors visited on it.
 
 No plotting library: the output must be byte-for-byte reproducible, and the
-scene is just a polyline, a set of dots and a start marker.  Dot count is
-capped by deterministic striding so cumulative panels stay a manageable size.
+scene is just a polyline, a set of dots and a start marker.  Dot and vertex
+counts are capped so that panels stay a manageable size.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ SIZE = 720
 MARGIN = 30
 MAX_DOTS = 20000
 CURVE_STEP = 0.02  # curve parameter increment between polyline vertices
+MAX_VERTICES = 20000  # of the polyline; from t_max ~ 400 on they spread out
 
 
 # One dot of the behaviors; "%.2f" formats as f"{x:.2f}" does.
@@ -52,7 +53,7 @@ def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str
     parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
 
     # Each run of points is formatted with one % over a repeated template.
-    n_curve = int(math.floor(params.t_max / CURVE_STEP)) + 1
+    n_curve = min(int(math.floor(params.t_max / CURVE_STEP)) + 1, MAX_VERTICES)
     points = " ".join(["%.2f,%.2f"] * n_curve) % _projected(
         np.linspace(0.0, params.t_max, n_curve), params
     )

@@ -22,10 +22,15 @@ def to_columns(individuals) -> np.ndarray:
     return cols
 
 
+def append_columns(archive, cols: np.ndarray):
+    """Append copies of the columns of an (N_ROWS, n) array to the archive."""
+    archive._new(cols.shape[1])[:] = cols
+
+
 def column_archive(cols: np.ndarray, **kwargs) -> UnstructuredArchive:
     """An unstructured archive holding copies of the columns of an (N_ROWS, n) array."""
     archive = UnstructuredArchive(**kwargs)
-    archive._append(cols)
+    append_columns(archive, cols)
     return archive
 
 

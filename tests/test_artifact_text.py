@@ -2,6 +2,7 @@
 of `oracles`: the csv module row by row, and one f-string per point."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from spiralns.experiments import (
     write_run_lineage,
     write_run_telemetry,
 )
-from spiralns.svgplot import MAX_DOTS
+from spiralns.svgplot import MAX_DOTS, MAX_VERTICES
 
 import oracles
 
@@ -102,3 +103,10 @@ class TestSvgText:
         assert render_svg(ts, params, init_t0, header) == expected
         dots = expected.count('r="1.6"')
         assert dots == n if n <= MAX_DOTS else MAX_DOTS // 2 < dots <= MAX_DOTS
+
+    @pytest.mark.parametrize("alpha, vertices", [(30.0, 4713), (1e12, MAX_VERTICES)])
+    def test_polyline_vertices_are_capped(self, alpha, vertices):
+        # Uncapped, alpha 1e12 would take 1.6e14 vertices: a MemoryError.
+        svg = render_svg([], SpiralParams(0.01, alpha), 0.0)
+        points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+        assert len(points.split(" ")) == vertices

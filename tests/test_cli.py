@@ -160,6 +160,15 @@ class TestBatch:
         assert stderr.startswith("error: spiral.a")
         assert not out.exists()
 
+    @pytest.mark.parametrize("a", ["1e-300", "1e160"])
+    def test_spiral_whose_squared_distances_leave_the_floats_exits_2(self, a, tmp_path, capsys):
+        # Unchecked, these ran with every novelty 0.0 (1e-300) or inf (1e160).
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(["batch", *FAST, "--spiral-a", a, "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr.startswith("error: spiral.a: squared distances")
+        assert not out.exists()
+
     def test_duplicate_key_in_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("scenario = Custom\nevolution.k = 5\nevolution.k = 7\n")

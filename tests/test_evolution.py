@@ -25,7 +25,7 @@ from spiralns.archives import ETA, N_ROWS
 from spiralns.evolution import TREE_CROSSOVER, Individual, _pool_novelty
 from spiralns.spiral import BehaviorPoint
 
-from helpers import column_archive, to_columns, unstructured_archive
+from helpers import append_columns, column_archive, to_columns, unstructured_archive
 from oracles import (
     arc_length_from_origin,
     genotype_at_curve_parameter,
@@ -384,10 +384,12 @@ class TestArchiveIndex:
         for op, op_seed in ops:
             r = np.random.default_rng(op_seed)
             if op == "append":
-                archive._append(spiral_columns(center + r.normal(0.0, 2.0, r.integers(1, 9))))
+                ts = center + r.normal(0.0, 2.0, r.integers(1, 9))
+                append_columns(archive, spiral_columns(ts))
             elif op == "append_copies":  # coincident with archive entries or the pool
                 source = archive.columns() if r.random() < 0.5 else pool
-                archive._append(source[:, r.integers(source.shape[1], size=r.integers(1, 9))])
+                picks = r.integers(source.shape[1], size=r.integers(1, 9))
+                append_columns(archive, source[:, picks])
             elif op == "retake":
                 slot = int(r.integers(len(archive)))
                 archive._put(slot, spiral_columns([center + r.normal()])[:, 0])
@@ -450,7 +452,7 @@ class TestArchiveIndex:
         monkeypatch.setattr(evolution, "_kd_tree", lambda p: builds.append(p) or build(p))
         appends = 3 * evolution._REBUILD_AT
         for _ in range(appends):
-            archive._append(spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1)))
+            append_columns(archive, spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1)))
             # Rewriting a slot still in the tail, or any slot's eta, adds no
             # work for the next build.
             archive._put(len(archive) - 1, spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1))[:, 0])

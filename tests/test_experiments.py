@@ -482,42 +482,32 @@ class TestRunTables:
         table["child_id"] = -1  # a fresh array each call
         assert state.lineage_log.table().tobytes() == lineage.tobytes()
 
-    def test_reads_share_one_join_until_the_next_append(self, monkeypatch):
+    def test_reads_cost_only_their_rows_and_growth_doubles(self):
         # A 1,000-generation run read the way the benchmark's replay reads it:
         # each generation's new rows sliced off after each step.
-        from spiralns import evolution
-
-        joins = []  # the block count of each join
-
-        def counted(blocks):
-            joins.append(len(blocks))
-            return original(blocks)
-
-        original = evolution._join
-        monkeypatch.setattr(evolution, "_join", counted)
         cfg = small_run("none", pop_size=4, offspring_size=3, g_max=1000)
         evo, state = run_state(cfg)
-        log, born = state.lineage_log, []
+        log = state.lineage_log
+        store, initial, reallocations, born = log._data, len(log._data), 0, []
         for _ in range(evo.g_max):
             seen = len(log)
             step_generation(state, evo, cfg.sampling)
-            born.append(log[seen:])
-        # The first read takes the lone block as it is; each later one joins
-        # the joined rows and the new block, never the whole run's blocks.
-        assert joins == [2] * (evo.g_max - 1)
+            reallocations += log._data is not store
+            store = log._data
+            rows = log[seen:]
+            assert len(rows) == evo.offspring_size
+            assert rows == [log[i] for i in range(seen, len(log))]
+            born.append(rows)
+        assert log._data is store  # reads never copy the store
+        assert reallocations <= math.ceil(math.log2(len(log) / initial)) + 1
 
-        # Read again after the run: one join serves every slice.
-        evo, state = run_state(cfg)
-        for _ in range(evo.g_max):
-            step_generation(state, evo, cfg.sampling)
-        joins.clear()
-        log, n = state.lineage_log, evo.offspring_size
+        # Read again after the run: the same rows, in the same order.
+        n = evo.offspring_size
         assert [log[g * n : (g + 1) * n] for g in range(evo.g_max)] == born
-        assert joins == [evo.g_max]
-        table = log.table()  # a fresh copy of the rows the reads share
-        assert joins == [evo.g_max, 1]
+        table = log.table()  # a fresh copy of the rows
         table["child_t"] = -1.0
         assert log[:] == [entry for rows in born for entry in rows]
+        assert log._data is store
 
     def test_fresh_log_is_empty(self):
         _, state = run_state(small_run("none"))

@@ -24,6 +24,7 @@ from spiralns import (
     genotype_bounds,
     map_genotypes,
 )
+from spiralns.evolution import Metric, _distance
 from spiralns.spiral import invert_arc_lengths
 
 from oracles import (
@@ -203,6 +204,22 @@ class TestParams:
             SpiralParams(a=bad)
         with pytest.raises(ValueError, match="finite"):
             SpiralParams(alpha=bad)
+
+    @pytest.mark.parametrize("a", [1e-300, 1e160, 1e-138 / (30 * math.pi) / 2, 1e154])
+    def test_squared_distances_out_of_float_range_rejected(self, a):
+        with pytest.raises(ValueError, match=r"^a: squared distances .* overflow or underflow"):
+            SpiralParams(a=a)
+
+    @pytest.mark.parametrize("extent", [1e-138, 1e153])
+    def test_extents_at_the_stated_bounds_keep_distances_in_range(self, extent):
+        e = SpiralParams(a=extent / (30 * math.pi)).extent
+        # Opposite corners of the bounding box, and adjacent floats at the rim.
+        a = np.array([[-e, e], [-e, 0.0]])
+        b = np.array([[e, math.nextafter(e, 0.0)], [e, 0.0]])
+        with np.errstate(all="raise"):
+            far, near = _distance(a, b, Metric.EUCLIDEAN)
+        assert far == pytest.approx(2 * math.sqrt(2) * e)
+        assert near == e - math.nextafter(e, 0.0)
 
     def test_behavior_point_is_frozen(self):
         p = BehaviorPoint(0.0, 0.0, 0.0)
