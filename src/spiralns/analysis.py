@@ -8,6 +8,7 @@ smoothed H, and the damped-cosine fit quantifies how that oscillation decays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -68,15 +69,26 @@ def medians(rows: np.ndarray) -> np.ndarray:
     return np.where(n % 2, hi, np.where(n, (lo + hi) / 2.0, 0.0))
 
 
-def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
-    """Coarse (decay, frequency) grid with a linear solve at each point.
+# Bounds of the refinement, in the order amplitude, decay, frequency, phase, offset.
+LOWER = np.array([-np.inf, 0.0, 1e-9, -2.0 * math.pi, -np.inf])
+UPPER = np.array([np.inf, np.inf, math.pi, 2.0 * math.pi, np.inf])
+LOWER.flags.writeable = UPPER.flags.writeable = False
 
-    The model is linear in (P, Q, c) once decay and frequency are fixed:
-    exp(-decay*g) * (P*cos + Q*sin) + c.  Normal equations for every grid
-    point are batched as matrix products, and the lowest-error points seed
-    the non-linear refinement.
+# The relative forward-difference step least_squares takes for jac="2-point".
+_REL_STEP = np.finfo(float).eps ** 0.5
+
+
+@functools.lru_cache(maxsize=2)
+def _grid_tables(n: int):
+    """The seed grid's parts that depend on the history length n alone: the
+    decay and frequency grids, the exp, cos and sin tables over generations,
+    and the (L, W, 3, 3) normal matrices of every grid point, ridge included.
+
+    Two lengths are kept: a batch, or analyze over one batch directory, fits
+    histories of one length, and two batches of different lengths may
+    alternate.  Each costs about 4 KB per generation plus 0.43 MB.  The
+    arrays are read-only, since every fit of that length shares them.
     """
-    n = len(y)
     g = np.arange(n, dtype=float)
     lams = np.concatenate([[0.0], np.geomspace(0.1 / n, 20.0 / n, 24)])
     omegas = np.geomspace(math.pi / n, math.pi, 240)
@@ -86,25 +98,34 @@ def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
     S = np.sin(np.outer(omegas, g))
 
     E2 = E * E
-    uu = E2 @ (C * C).T  # (L, W) entries of the normal matrix
-    uv = E2 @ (C * S).T
-    vv = E2 @ (S * S).T
-    uw = E @ C.T
-    vw = E @ S.T
+    mats = np.empty((len(lams), len(omegas), 3, 3))
+    mats[..., 0, 0] = E2 @ (C * C).T
+    mats[..., 0, 1] = mats[..., 1, 0] = E2 @ (C * S).T
+    mats[..., 0, 2] = mats[..., 2, 0] = E @ C.T
+    mats[..., 1, 1] = E2 @ (S * S).T
+    mats[..., 1, 2] = mats[..., 2, 1] = E @ S.T
+    mats[..., 2, 2] = float(n)
+    mats += 1e-12 * np.eye(3)
+    tables = lams, omegas, E, C, S, mats
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
+    """Coarse (decay, frequency) grid with a linear solve at each point.
+
+    The model is linear in (P, Q, c) once decay and frequency are fixed:
+    exp(-decay*g) * (P*cos + Q*sin) + c.  Normal equations for every grid
+    point are batched as matrix products, and the lowest-error points seed
+    the non-linear refinement.  Only their right-hand sides depend on y.
+    """
+    lams, omegas, E, C, S, mats = _grid_tables(len(y))
     uy = (E * y) @ C.T
     vy = (E * y) @ S.T
     wy = float(y.sum())
     yy = float(y @ y)
 
-    L, W = uu.shape
-    mats = np.empty((L, W, 3, 3))
-    mats[..., 0, 0] = uu
-    mats[..., 0, 1] = mats[..., 1, 0] = uv
-    mats[..., 0, 2] = mats[..., 2, 0] = uw
-    mats[..., 1, 1] = vv
-    mats[..., 1, 2] = mats[..., 2, 1] = vw
-    mats[..., 2, 2] = float(n)
-    mats += 1e-12 * np.eye(3)
     rhs = np.stack(
         [uy, vy, np.full_like(uy, wy)], axis=-1
     )  # (L, W, 3)
@@ -116,7 +137,7 @@ def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
     order = np.argsort(sse, axis=None)[:n_best]
     seeds = []
     for flat in order:
-        i, j = divmod(int(flat), W)
+        i, j = divmod(int(flat), len(omegas))
         p, q, c = beta[i, j]
         amplitude = math.hypot(p, q)
         phase = math.atan2(-q, p)
@@ -124,12 +145,33 @@ def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
     return seeds
 
 
+def _forward_jacobian(resid, x: np.ndarray) -> np.ndarray:
+    """The Jacobian least_squares computes for jac="2-point", number for
+    number, with x and the five stepped points evaluated in one call.
+
+    The step is sqrt(eps) * sign(x) * max(1, |x|), sign(0) = +1.  A step
+    that leaves the bounds is reversed if it fits on the other side, and
+    otherwise becomes the distance to the farther bound.
+    """
+    h = _REL_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    below, above = x - LOWER, UPPER - x
+    stepped = x + h
+    fits = np.abs(h) <= np.maximum(below, above)
+    h = np.where(((stepped < LOWER) | (stepped > UPPER)) & fits, -h, h)
+    h = np.where(fits, h, np.where(above >= below, above, -below))
+    points = np.repeat(x[:, None], len(x) + 1, axis=1)  # column 0 is x itself
+    points[np.arange(len(x)), np.arange(1, len(x) + 1)] = x + h
+    f = resid(points)
+    return ((f[1:] - f[0]) / ((x + h) - x)[:, None]).T
+
+
 def fit_damped_oscillator(H: Sequence[float]) -> OscillatorFit:
     """Least-squares fit of a decaying cosine to a median-delta history.
 
     A coarse grid over decay and frequency (with the remaining parameters
     solved linearly) seeds a bounded non-linear refinement; the candidate
-    with the smallest residual wins.
+    with the smallest residual wins.  H must be finite, with a finite sum of
+    squares.
     """
     # Imported here: scipy.optimize takes most of a second to load, and
     # nothing else in the package needs it.
@@ -140,18 +182,29 @@ def fit_damped_oscillator(H: Sequence[float]) -> OscillatorFit:
         raise ValueError(
             f"need at least {MIN_FIT_SAMPLES} samples to fit, got {len(y)}"
         )
+    bad = ~np.isfinite(y)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"H[{i}] is {y[i].item()!r}; the fit needs finite values")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(float(y @ y)):
+            raise ValueError("the sum of squares overflows; the fit needs it finite")
     g = np.arange(len(y), dtype=float)
 
     def resid(x):
-        a, lam, omega, phi, c = x
-        return a * np.exp(-lam * g) * np.cos(omega * g + phi) + c - y
+        # One point x of shape (5,), or k points as the columns of (5, k),
+        # each giving one row of residuals.
+        a, lam, omega, phi, c = np.reshape(x, (5, -1, 1))
+        r = a * np.exp(-lam * g) * np.cos(omega * g + phi) + c - y
+        return r if x.ndim == 2 else r[0]
 
-    lower = [-np.inf, 0.0, 1e-9, -2.0 * math.pi, -np.inf]
-    upper = [np.inf, np.inf, math.pi, 2.0 * math.pi, np.inf]
+    def jac(x):
+        return _forward_jacobian(resid, x)
+
     best = None
     for seed in _grid_seed_candidates(y):
-        x0 = np.clip(np.array(seed), lower, upper)
-        sol = least_squares(resid, x0, bounds=(lower, upper))
+        x0 = np.clip(np.array(seed), LOWER, UPPER)
+        sol = least_squares(resid, x0, jac=jac, bounds=(LOWER, UPPER))
         if best is None or sol.cost < best.cost:
             best = sol
     a, lam, omega, phi, c = best.x

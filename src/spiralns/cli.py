@@ -107,7 +107,11 @@ def _cmd_analyze(args) -> int:
     for path in paths:
         _, table = read_telemetry(path)
         final = final_coverage(table)
-        out_rows.append([path, str(len(table)), repr(final), *fit_cells(table)])
+        try:
+            cells = fit_cells(table)
+        except ValueError as e:
+            raise ConfigError(f"{path}: median_delta: {e}") from None
+        out_rows.append([path, str(len(table)), repr(final), *cells])
         print(f"{path}: coverage {final!r}")
 
     _write_csv(args.out, [f"# spiralns {__version__}"], ANALYSIS_COLUMNS, out_rows)
@@ -146,11 +150,19 @@ def _cmd_plot(args) -> int:
                 raise ConfigError(
                     f"{path}: {key} = {value!r} differs from {expected!r} in {first[0]}"
                 )
+        params = SpiralParams(*curve[:2])
+        ts = columns["child_t"]
+        outside = ~((0.0 <= ts) & (ts <= params.t_max))  # NaN included
+        if outside.any():
+            i = int(outside.argmax())
+            raise ConfigError(
+                f"{path}: child_t {ts[i].item()!r} (generation {columns['generation'][i]}) "
+                f"outside the curve domain [0, {params.t_max}]"
+            )
         ts_parts.append(np.full(pop_size, curve[2]))
-        ts_parts.append(columns["child_t"])
-    _, header, (a, alpha, init_t0) = first
-    emit_svg(np.concatenate(ts_parts), SpiralParams(a, alpha), init_t0, args.out,
-             list(header.items()))
+        ts_parts.append(ts)
+    _, header, (_, _, init_t0) = first
+    emit_svg(np.concatenate(ts_parts), params, init_t0, args.out, list(header.items()))
     print(f"wrote {args.out}")
     return 0
 

@@ -651,7 +651,7 @@ def fit_cells(telemetry: np.ndarray) -> list:
     cells (FIT_COLUMNS), all empty below MIN_FIT_SAMPLES generations."""
     if len(telemetry) < MIN_FIT_SAMPLES:
         return [""] * len(FIT_COLUMNS)
-    H = telemetry["median_delta"].tolist()
+    H = telemetry["median_delta"]
     fit = fit_damped_oscillator(H)
     params = (fit.amplitude, fit.decay, fit.frequency, fit.phase, fit.offset, fit.residual)
     return [*map(repr, params), str(len(segment_phases(H, PHASE_WINDOW)))]

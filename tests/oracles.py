@@ -13,6 +13,12 @@ record-based test fixtures build their behavior points with them.
 the run tables through the csv module, row by row, and the SVG panel with one
 f-string per point.  The package's block writer and template renderer must
 write the same bytes.
+
+`fit_damped_oscillator` is the reference for the oscillator fit: the seed
+grid's normal equations built afresh on every call and `least_squares` with
+its own `jac="2-point"` differences.  The package's fit, with its tables
+built once per history length and its one-pass Jacobian, must return the
+same six numbers bit for bit.
 """
 
 import csv
@@ -20,6 +26,7 @@ import math
 
 import numpy as np
 
+from spiralns.analysis import MIN_FIT_SAMPLES, OscillatorFit
 from spiralns.spiral import (
     INVERSION_TOL,
     MAX_INVERSION_STEPS,
@@ -209,3 +216,81 @@ def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
+    n = len(y)
+    g = np.arange(n, dtype=float)
+    lams = np.concatenate([[0.0], np.geomspace(0.1 / n, 20.0 / n, 24)])
+    omegas = np.geomspace(math.pi / n, math.pi, 240)
+
+    E = np.exp(-np.outer(lams, g))  # (L, n)
+    C = np.cos(np.outer(omegas, g))  # (W, n)
+    S = np.sin(np.outer(omegas, g))
+
+    E2 = E * E
+    uu = E2 @ (C * C).T  # (L, W) entries of the normal matrix
+    uv = E2 @ (C * S).T
+    vv = E2 @ (S * S).T
+    uw = E @ C.T
+    vw = E @ S.T
+    uy = (E * y) @ C.T
+    vy = (E * y) @ S.T
+    wy = float(y.sum())
+    yy = float(y @ y)
+
+    L, W = uu.shape
+    mats = np.empty((L, W, 3, 3))
+    mats[..., 0, 0] = uu
+    mats[..., 0, 1] = mats[..., 1, 0] = uv
+    mats[..., 0, 2] = mats[..., 2, 0] = uw
+    mats[..., 1, 1] = vv
+    mats[..., 1, 2] = mats[..., 2, 1] = vw
+    mats[..., 2, 2] = float(n)
+    mats += 1e-12 * np.eye(3)
+    rhs = np.stack(
+        [uy, vy, np.full_like(uy, wy)], axis=-1
+    )  # (L, W, 3)
+    beta = np.linalg.solve(mats, rhs[..., None])[..., 0]
+    sse = yy - 2.0 * (beta * rhs).sum(-1) + np.einsum(
+        "...i,...ij,...j->...", beta, mats, beta
+    )
+
+    order = np.argsort(sse, axis=None)[:n_best]
+    seeds = []
+    for flat in order:
+        i, j = divmod(int(flat), W)
+        p, q, c = beta[i, j]
+        amplitude = math.hypot(p, q)
+        phase = math.atan2(-q, p)
+        seeds.append((amplitude, lams[i], omegas[j], phase, c))
+    return seeds
+
+
+def fit_damped_oscillator(H) -> OscillatorFit:
+    """The damped-cosine fit with every grid product computed per call and
+    scipy's own forward-difference Jacobian."""
+    from scipy.optimize import least_squares
+
+    y = np.asarray(H, dtype=float)
+    if len(y) < MIN_FIT_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_FIT_SAMPLES} samples to fit, got {len(y)}"
+        )
+    g = np.arange(len(y), dtype=float)
+
+    def resid(x):
+        a, lam, omega, phi, c = x
+        return a * np.exp(-lam * g) * np.cos(omega * g + phi) + c - y
+
+    lower = [-np.inf, 0.0, 1e-9, -2.0 * math.pi, -np.inf]
+    upper = [np.inf, np.inf, math.pi, 2.0 * math.pi, np.inf]
+    best = None
+    for seed in _grid_seed_candidates(y):
+        x0 = np.clip(np.array(seed), lower, upper)
+        sol = least_squares(resid, x0, bounds=(lower, upper))
+        if best is None or sol.cost < best.cost:
+            best = sol
+    a, lam, omega, phi, c = best.x
+    rmse = math.sqrt(float(np.mean(resid(best.x) ** 2)))
+    return OscillatorFit(float(a), float(lam), float(omega), float(phi), float(c), rmse)

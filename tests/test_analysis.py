@@ -15,9 +15,12 @@ from spiralns import (
     fit_damped_oscillator,
     segment_phases,
 )
-from spiralns.analysis import _moving_median, coverage_bins, medians
+from spiralns import analysis
+from spiralns.analysis import _forward_jacobian, _grid_tables, _moving_median, coverage_bins, medians
+from spiralns.experiments import config_from_items, run_single
 from spiralns.spiral import arc_lengths_from_origin
 
+import oracles
 from helpers import scalar_median
 from oracles import arc_length_from_origin, invert_arc_length
 
@@ -129,6 +132,134 @@ class TestFitDampedOscillator:
         g = np.arange(100)
         H = model(g, A=1.0, lam=0.0, om=0.2, phi=0.0, c=0.0)
         assert fit_damped_oscillator(H).decay >= 0.0
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+    def test_non_finite_or_overflowing_history_raises_before_any_warning(self, bad):
+        # Warnings are errors here: a numpy warning would fail the test first.
+        H = model(np.arange(40), A=1.0, lam=0.01, om=0.2, phi=0.0, c=0.0)
+        H[17] = bad
+        message = "sum of squares overflows" if math.isfinite(bad) else rf"H\[17\] is {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            fit_damped_oscillator(H)
+
+
+def fit_fields(fit) -> str:
+    return repr((fit.amplitude, fit.decay, fit.frequency, fit.phase, fit.offset, fit.residual))
+
+
+def assert_fits_match_the_oracle(histories):
+    for name, H in histories:
+        assert fit_fields(fit_damped_oscillator(H)) == fit_fields(oracles.fit_damped_oscillator(H)), name
+
+
+class TestFitMatchesTheOracle:
+    """The fit with cached seed-grid tables and a one-pass Jacobian returns the
+    reference fit's six numbers bit for bit (compared through repr)."""
+
+    def test_synthetic_and_random_histories(self):
+        rng = np.random.default_rng(22)
+        g = np.arange(500)
+        cosines = [
+            ("recovery", model(g[:400], A=2.5, lam=0.004, om=0.05, phi=0.7, c=0.3)),
+            ("own output", model(g[:300], A=1.8, lam=0.002, om=0.09, phi=-0.4, c=-0.1)),
+            ("imperfect", model(g[:250], A=1.0, lam=0.01, om=0.12, phi=0.0, c=0.0)
+             + 0.01 * np.sin(g[:250])),
+            ("noisy", model(g, A=2.0, lam=0.003, om=0.07, phi=0.2, c=0.0)
+             + rng.normal(scale=0.1, size=500)),
+            ("undamped", model(g[:100], A=1.0, lam=0.0, om=0.2, phi=0.0, c=0.0)),
+            ("constant", np.full(50, 0.42)),
+            ("zeros", np.zeros(60)),
+        ]
+        randoms = [
+            (f"normal {i}", rng.normal(size=int(rng.integers(20, 401)))) for i in range(30)
+        ]
+        misses = _grid_tables.cache_info().misses
+        # Lengths change from one history to the next, so the two-length
+        # cache evicts and rebuilds its tables throughout.
+        assert_fits_match_the_oracle(cosines + randoms)
+        assert _grid_tables.cache_info().misses - misses >= 30
+
+    @pytest.mark.slow
+    def test_run_histories(self):
+        # H of the benchmark's six batch settings at 12 seeds each, and of
+        # full-length Fig2a and Fig3a runs at seeds 0 to 2.  Taken in turn,
+        # the settings interleave four lengths: 250, 300, 500 and 1000.
+        settings = [
+            {"evolution.g_max": "250", "evolution.metric": metric,
+             "evolution.genotype_space": space, "archive.kind": "none"}
+            for metric in ("euclidean", "geodesic") for space in ("angle", "arc_length")
+        ] + [
+            {"evolution.g_max": "300", "archive.kind": "unstructured_unbounded"},
+            {"evolution.g_max": "500", "archive.kind": "grid", "sampling.mode": "mixed_guided"},
+        ]
+        runs = [{"scenario": "Custom", **items, "base_seed": str(seed)}
+                for seed in range(12) for items in settings]
+        runs += [{"scenario": scenario, "base_seed": str(seed)}
+                 for seed in range(3) for scenario in ("Fig2a", "Fig3a")]
+        histories = [
+            (str(items), run_single(config_from_items({**items, "runs": "1"}))
+             .telemetry["median_delta"])
+            for items in runs
+        ]
+        assert len(histories) == 78
+        assert_fits_match_the_oracle(histories)
+
+    def test_cached_tables_are_read_only(self):
+        for table in [*_grid_tables(64), analysis.LOWER, analysis.UPPER]:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0.0
+
+
+def model_residuals(g, y):
+    """Residuals of the damped cosine at one point (5,) or at the columns of (5, k)."""
+    def resid(x):
+        a, lam, omega, phi, c = np.reshape(x, (5, -1, 1))
+        r = a * np.exp(-lam * g) * np.cos(omega * g + phi) + c - y
+        return r if x.ndim == 2 else r[0]
+    return resid
+
+
+class TestForwardJacobian:
+    """_forward_jacobian equals scipy's jac="2-point" difference bit for bit,
+    including the step rule at and near the bounds."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [1.3, 0.002, 0.05, 0.7, 0.3],
+            [-1.3, 0.0, 1e-9, -0.7, -0.3],  # negative steps; decay and frequency on their lower bounds
+            [0.0, 5.0, math.pi, 2.0 * math.pi, 0.0],  # upper bounds: the step is reversed
+            [250.0, 1e-12, math.pi - 1e-10, -2.0 * math.pi, -4e3],
+            [1e-300, 2.0, 1.0, 2.0 * math.pi - 1e-9, 1e6],
+        ],
+    )
+    def test_matches_scipys_forward_difference(self, x):
+        from scipy.optimize._numdiff import approx_derivative
+
+        g = np.arange(60, dtype=float)
+        resid = model_residuals(g, np.cos(0.3 * g))
+        x = np.array(x)
+        want = approx_derivative(resid, x, method="2-point", bounds=(analysis.LOWER, analysis.UPPER))
+        got = _forward_jacobian(resid, x)
+        assert got.shape == want.shape == (60, 5)
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+
+    @pytest.mark.parametrize("offset", [4e-10, 6e-10])
+    def test_step_past_both_bounds_goes_to_the_farther_one(self, monkeypatch, offset):
+        # Only bounds narrower than the step reach this rule: a frequency
+        # window of 1e-9, with the point nearer one end or the other.
+        lower = np.array([-np.inf, 0.0, 0.5, -2.0 * math.pi, -np.inf])
+        upper = np.array([np.inf, np.inf, 0.5 + 1e-9, 2.0 * math.pi, np.inf])
+        monkeypatch.setattr(analysis, "LOWER", lower)
+        monkeypatch.setattr(analysis, "UPPER", upper)
+        from scipy.optimize._numdiff import approx_derivative
+
+        g = np.arange(40, dtype=float)
+        resid = model_residuals(g, np.sin(0.2 * g))
+        x = np.array([1.0, 0.01, 0.5 + offset, 0.1, 0.0])
+        want = approx_derivative(resid, x, method="2-point", bounds=(lower, upper))
+        assert _forward_jacobian(resid, x).tobytes(order="F") == want.tobytes(order="F")
 
 
 class TestSegmentPhases:

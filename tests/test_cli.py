@@ -1,5 +1,6 @@
 """Command line entry points, exercised through main()."""
 
+import math
 import os
 import subprocess
 import sys
@@ -275,6 +276,25 @@ class TestAnalyze:
         assert "'x'" in stderr
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_non_finite_or_overflowing_history_names_file_and_column(
+        self, batch_dir, tmp_path, capsys, value
+    ):
+        lines = (batch_dir / "run_000_telemetry.csv").read_text().splitlines(keepends=True)
+        assert lines[25].split(",")[2] == "median_delta"
+        cells = lines[30].split(",")  # generation 5
+        cells[2] = value
+        lines[30] = ",".join(cells)
+        bad = tmp_path / "bad_telemetry.csv"
+        bad.write_text("".join(lines))
+        out = tmp_path / "a.csv"
+        code, _, stderr = run_cli(["analyze", str(bad), "--out", str(out)], capsys)
+        assert code == 2
+        reason = "the sum of squares overflows" if value == "1e308" else f"H[4] is {value}"
+        assert stderr.startswith(f"error: {bad}: median_delta: {reason}")
+        assert not out.exists()
+
+
 class TestPlot:
     def test_directory_input(self, batch_dir, tmp_path, capsys):
         out = tmp_path / "panel.svg"
@@ -321,6 +341,29 @@ class TestPlot:
         assert code == 2
         assert stderr == f"error: {bad}: line 40: expected 5 cells, found 6\n"
         assert not (tmp_path / "p.svg").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1.0", "94.5"])
+    def test_child_t_outside_the_files_curve_names_file_and_column(
+        self, batch_dir, tmp_path, capsys, value
+    ):
+        # The batch's curve ends at t_max = 30 * pi = 94.2477...
+        lines = (batch_dir / "run_001_lineage.csv").read_text().splitlines(keepends=True)
+        assert lines[25].split(",")[3] == "child_t"
+        cells = lines[70].split(",")  # file line 71, generation 2
+        cells[3] = value
+        lines[70] = ",".join(cells)
+        bad = tmp_path / "bad_lineage.csv"
+        bad.write_text("".join(lines))
+        out = tmp_path / "p.svg"
+        code, _, stderr = run_cli(
+            ["plot", str(batch_dir / "run_000_lineage.csv"), str(bad), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stderr == (
+            f"error: {bad}: child_t {float(value)!r} (generation 2) outside the curve "
+            f"domain [0, {30 * math.pi!r}]\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_inputs_on_different_curves_exit_2(self, batch_dir, tmp_path, capsys, order):
