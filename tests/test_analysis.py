@@ -133,7 +133,6 @@ class TestFitDampedOscillator:
         H = model(g, A=1.0, lam=0.0, om=0.2, phi=0.0, c=0.0)
         assert fit_damped_oscillator(H).decay >= 0.0
 
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
     def test_non_finite_or_overflowing_history_raises_before_any_warning(self, bad):
         # Warnings are errors here: a numpy warning would fail the test first.
