@@ -20,6 +20,7 @@ only where the state is read from outside the loop.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -204,14 +205,15 @@ class GridArchive(_Archive):
     """
 
     def __init__(self, params: SpiralParams, resolution: int = 50, epsilon: float = 0.05):
-        if resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {resolution}")
         if not 0.0 <= epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0,1), got {epsilon}")
         self.resolution = resolution
         self.epsilon = epsilon
         self.lower = -params.extent
-        self.cell_width = (params.extent - self.lower) / resolution
+        fits = 1 <= resolution <= sys.float_info.max  # past it, dividing by the int overflows
+        self.cell_width = (params.extent - self.lower) / resolution if fits else 0.0
+        if not self.cell_width > 0.0:
+            raise ValueError(f"resolution must be >= 1 and leave cells a width, got {resolution}")
         # Cells are never emptied: each keeps its first occupant's column.
         self._slots = {}
         super().__init__()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from operator import attrgetter
 
 from . import __version__
 # Unused here: bench/layers.py wraps these names on this module (analyze
@@ -31,7 +32,6 @@ from .experiments import (
     read_telemetry,
     run_batch,
 )
-from .spiral import SpiralParams
 from .svgplot import emit_svg
 
 
@@ -119,17 +119,11 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _header_value(path, header, key):
-    if key not in header:
-        raise ConfigError(f"{path}: missing header key {key}")
-    try:
-        return parse_value(key, header[key])
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
 # Header keys that fix the curve and the start marker: every plotted file must agree on them.
 _CURVE_KEYS = ("spiral.a", "spiral.alpha", "evolution.init_t0")
+# A header passes the config gate as a Custom config: library callers may
+# write a named scenario with a pinned key changed.
+_HEADER_KEYS = [row.key for row in CONFIG_KEYS if row.key != "scenario"]
 
 
 def _cmd_plot(args) -> int:
@@ -140,9 +134,14 @@ def _cmd_plot(args) -> int:
     first = None
     for path in paths:
         header, columns = read_lineage(path)
-        pop_size, *curve = [
-            _header_value(path, header, key) for key in ("evolution.pop_size", *_CURVE_KEYS)
-        ]
+        for key in ("evolution.pop_size", *_CURVE_KEYS):
+            if key not in header:
+                raise ConfigError(f"{path}: missing header key {key}")
+        try:
+            config = config_from_items({k: header[k] for k in _HEADER_KEYS if k in header})
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from None
+        curve = attrgetter(*_CURVE_KEYS)(config)
         if first is None:
             first = path, header, curve
         for key, value, expected in zip(_CURVE_KEYS, curve, first[2]):
@@ -150,19 +149,17 @@ def _cmd_plot(args) -> int:
                 raise ConfigError(
                     f"{path}: {key} = {value!r} differs from {expected!r} in {first[0]}"
                 )
-        params = SpiralParams(*curve[:2])
-        ts = columns["child_t"]
-        outside = ~((0.0 <= ts) & (ts <= params.t_max))  # NaN included
+        ts, t_max = columns["child_t"], config.spiral.t_max
+        outside = ~((0.0 <= ts) & (ts <= t_max))  # NaN included
         if outside.any():
             i = int(outside.argmax())
             raise ConfigError(
                 f"{path}: child_t {ts[i].item()!r} (generation {columns['generation'][i]}) "
-                f"outside the curve domain [0, {params.t_max}]"
+                f"outside the curve domain [0, {t_max}]"
             )
-        ts_parts.append(np.full(pop_size, curve[2]))
-        ts_parts.append(ts)
+        ts_parts += [np.full(config.evolution.pop_size, curve[2]), ts]
     _, header, (_, _, init_t0) = first
-    emit_svg(np.concatenate(ts_parts), params, init_t0, args.out, list(header.items()))
+    emit_svg(np.concatenate(ts_parts), config.spiral, init_t0, args.out, list(header.items()))
     print(f"wrote {args.out}")
     return 0
 
@@ -202,8 +199,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    # MemoryError as a last resort: the config-time budget is an estimate.
+    except (ConfigError, OSError, ValueError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

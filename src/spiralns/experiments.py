@@ -34,6 +34,7 @@ from .analysis import (
 )
 from .archives import (
     BIRTH_DELTA,
+    N_ROWS,
     NOVELTY,
     GridArchive,
     SamplingMode,
@@ -80,6 +81,8 @@ __all__ = [
 COVERAGE_BINS = 100
 FULL_COVERAGE_THRESHOLD = 0.95
 PHASE_WINDOW = 11
+# Bytes a batch may plan to hold: a constant, so that validity is the same on any host.
+MAX_BATCH_BYTES = 2**32
 
 
 class Scenario(Enum):
@@ -133,39 +136,36 @@ class ExperimentConfig:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.additions_per_generation < 1:
-            raise ConfigError(
-                "archive.additions_per_generation must be >= 1, got "
-                f"{self.additions_per_generation}"
-            )
-        if self.archive_kind is ArchiveKind.UNSTRUCTURED_BOUNDED:
-            if self.archive_max_size is None or self.archive_max_size < 1:
-                raise ConfigError(
-                    "archive.max_size must be a positive integer for a bounded archive"
-                )
-        elif self.archive_max_size is not None:
-            raise ConfigError(
-                "archive.max_size only applies when archive.kind = unstructured_bounded"
-            )
-        if self.grid_resolution < 1:
-            raise ConfigError(f"archive.resolution must be >= 1, got {self.grid_resolution}")
-        if not 0.0 <= self.grid_epsilon < 1.0:
-            raise ConfigError(f"archive.epsilon must be in [0, 1), got {self.grid_epsilon!r}")
-        if (
-            self.sampling.mode is not SamplingMode.POPULATION_ONLY
-            and self.archive_kind is ArchiveKind.NONE
-        ):
-            raise ConfigError(
-                "sampling.mode: archive resampling requires an archive"
-            )
-        if (
-            self.sampling.mode is SamplingMode.MIXED_GUIDED
-            and self.archive_kind is not ArchiveKind.GRID
-        ):
-            raise ConfigError(
-                "sampling.mode: guided resampling requires archive.kind = grid"
-            )
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
+        kind, max_size = self.archive_kind, self.archive_max_size
+        if (kind is ArchiveKind.UNSTRUCTURED_BOUNDED) != (max_size is not None):
+            raise ConfigError(f"archive.max_size: {_fmt(max_size)} with archive.kind = "
+                              f"{kind.value}; set it exactly for unstructured_bounded")
+        # The archives hold their own rules; both are built, whatever archive.kind.
+        _keyed("archive", UnstructuredArchive, max_size, self.additions_per_generation)
+        _keyed("archive", GridArchive, self.spiral, self.grid_resolution, self.grid_epsilon)
+        if self.sampling.mode is not SamplingMode.POPULATION_ONLY and kind is ArchiveKind.NONE:
+            raise ConfigError("sampling.mode: archive resampling requires an archive")
+        if self.sampling.mode is SamplingMode.MIXED_GUIDED and kind is not ArchiveKind.GRID:
+            raise ConfigError("sampling.mode: guided resampling requires archive.kind = grid")
         _keyed("evolution", self.evolution.validate, self.spiral)
+        # The budget: a run's birth deltas, first distance matrix and lineage log, and what
+        # execute_batch keeps of each run (evaluated ts twice); doubling stores count double.
+        p, o, g = self.evolution.pop_size, self.evolution.offspring_size, self.evolution.g_max
+        grows = {ArchiveKind.NONE: 0, ArchiveKind.GRID: o}.get(
+            kind, min(self.additions_per_generation, p))
+        kept = g * (o * (LINEAGE_DTYPE.itemsize + 16) + TELEMETRY_DTYPE.itemsize
+                    + 2 * grows * N_ROWS * 8) + p * 16
+        for keys, size in (
+            ("evolution.pop_size/evolution.g_max", g * p * 8),
+            ("evolution.pop_size/evolution.offspring_size", (p + o) ** 2 * 8),
+            ("evolution.offspring_size/evolution.g_max", 2 * g * o * LINEAGE_DTYPE.itemsize),
+            ("runs", self.runs * kept),
+        ):
+            if size > MAX_BATCH_BYTES:
+                raise ConfigError(f"{keys}: the batch needs about {size} bytes, over the "
+                                  f"{MAX_BATCH_BYTES}-byte budget")
 
 
 def _keyed(section: str, build: Callable, *args, **kwargs):

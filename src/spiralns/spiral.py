@@ -61,8 +61,8 @@ class SpiralParams:
         extent = self.extent
         if not (8.0 * extent * extent < math.inf and math.ulp(extent) ** 2 >= 2.0**-1022):
             raise ValueError(
-                f"a: squared distances on a spiral of extent a*alpha*pi = {extent!r} "
-                "overflow or underflow; keep the extent between 1e-138 and 1e153"
+                f"a: squared distances on a spiral of extent spiral.a * spiral.alpha * pi = "
+                f"{extent!r} overflow or underflow; keep the extent between 1e-138 and 1e153"
             )
 
     @property

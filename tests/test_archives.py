@@ -184,6 +184,22 @@ class TestGridArchive:
         assert cells == [cell_index(arch, x, y) for x, y in points]
         assert all(type(i) is int for cell in cells for i in cell)
 
+    @pytest.mark.parametrize(
+        "params, resolution",
+        [
+            (PARAMS, 0),
+            (PARAMS, -3),
+            # Dividing by an int past the largest float overflows.
+            (PARAMS, 10**400),
+            # The width 2e-138 / 2**1000 underflows to 0.0.
+            (SpiralParams(a=1e-138 / (30 * math.pi)), 2**1000),
+        ],
+    )
+    def test_resolution_must_leave_cells_a_width(self, params, resolution):
+        with pytest.raises(ValueError, match=f"^resolution must be >= 1 and leave cells a "
+                                             f"width, got {resolution}$"):
+            GridArchive(params=params, resolution=resolution)
+
     def test_row_is_y_and_col_is_x(self):
         arch = GridArchive(params=PARAMS, resolution=50)
         w = 2 * PARAMS.extent / 50

@@ -1,13 +1,23 @@
 """Command line entry points, exercised through main()."""
 
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spiralns import cli
+from spiralns.archives import SamplingMode
 from spiralns.cli import main
+from spiralns.evolution import Metric
+from spiralns.experiments import CONFIG_KEYS, MAX_BATCH_BYTES, ArchiveKind, Scenario
+from spiralns.spiral import GenotypeSpace
 
 FAST = ["--scenario", "Custom", "--g-max", "10"]
 
@@ -207,6 +217,72 @@ class TestBatch:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--archive-kind", "unstructured_bounded", "--archive-max-size", "0"],
+             "archive.max_size"),
+            (["--archive-additions", "0"], "archive.additions_per_generation"),
+        ],
+    )
+    def test_archive_rules_are_the_constructors(self, flags, key, tmp_path, capsys):
+        # The archives state these rules; the config gate builds both to apply them.
+        out = tmp_path / "D"
+        code, _, stderr = run_cli(["batch", *FAST, *flags, "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr == f"error: {key} must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["none", "grid"])
+    def test_grid_resolution_past_the_floats_exits_2(self, kind, tmp_path, capsys):
+        # Unchecked, the cell width's division raised OverflowError: a traceback.
+        out = tmp_path / "D"
+        code, _, stderr = run_cli(
+            ["batch", *FAST, "--archive-kind", kind, "--grid-resolution", str(10**400),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stderr.startswith("error: archive.resolution must be >= 1 and leave cells a width")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, keys",
+        [
+            # Unchecked, each of these ended in a traceback (an _ArrayMemoryError of
+            # up to 218 TiB) or in "error: Maximum allowed dimension exceeded", and
+            # left an empty output directory behind.
+            (["--g-max", "1000000000000"], "evolution.pop_size/evolution.g_max"),
+            (["--pop-size", "10000000000000000000"], "evolution.pop_size/evolution.g_max"),
+            (["--pop-size", "100000000000000"], "evolution.pop_size/evolution.g_max"),
+            (["--offspring-size", "100000000000000"],
+             "evolution.pop_size/evolution.offspring_size"),
+            (["--runs", "100000"], "runs"),
+        ],
+    )
+    def test_batch_over_the_memory_budget_exits_2_naming_the_keys(
+        self, flags, keys, tmp_path, capsys
+    ):
+        out = tmp_path / "D"
+        code, stdout, stderr = run_cli(
+            ["batch", "--runs", "1", *flags, "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stderr.startswith(f"error: {keys}: the batch needs about ")
+        assert stderr.endswith(f"over the {MAX_BATCH_BYTES}-byte budget\n")
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The budget is an estimate: a host may still refuse a smaller allocation.
+        def refuse(config):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_batch", refuse)
+        code, _, stderr = run_cli(["batch", *FAST, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert stderr == "error: out of memory\n"
+
 
 @pytest.fixture
 def batch_dir(tmp_path_factory):
@@ -403,3 +479,95 @@ class TestPlot:
             f"error: {bad}: evolution.pop_size: expected an integer, got 'thirty'\n"
         )
         assert not (tmp_path / "p.svg").exists()
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            # Before plot read its headers through the config gate, these gave
+            # "error: alpha must be positive and finite, got 0.0" (no file, no key),
+            # "error: negative dimensions are not allowed" and, for the last, a
+            # 728 TiB _ArrayMemoryError traceback with exit 1.
+            ("spiral.alpha = 0.0", "spiral.alpha"),
+            ("spiral.a = -1.0", "spiral.a"),
+            ("evolution.pop_size = -5", "evolution.pop_size"),
+            ("evolution.pop_size = 100000000000000", "evolution.pop_size"),
+        ],
+    )
+    def test_header_passes_the_config_gate(self, batch_dir, tmp_path, capsys, line, key):
+        lines = (batch_dir / "run_000_lineage.csv").read_text().splitlines(keepends=True)
+        i = next(i for i, text in enumerate(lines) if text.startswith(f"# {key} = "))
+        lines[i] = f"# {line}\n"
+        bad = tmp_path / "bad_lineage.csv"
+        bad.write_text("".join(lines))
+        out = tmp_path / "p.svg"
+        code, _, stderr = run_cli(["plot", str(bad), "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {bad}: {key}")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
+
+# The adversarial value pool: every key is given each of these in turn, and an
+# enum key also each of its values and a near miss of each.
+POOL = ["0", "-1", str(2**63), str(10**19), "1e-300", "1e300", "nan", "inf", ""]
+ENUMS = {
+    "scenario": Scenario,
+    "evolution.metric": Metric,
+    "evolution.genotype_space": GenotypeSpace,
+    "archive.kind": ArchiveKind,
+    "sampling.mode": SamplingMode,
+}
+CASES = [
+    (row, value)
+    for row in CONFIG_KEYS
+    for value in POOL + [
+        text for m in ENUMS.get(row.key, ()) for text in (m.value, m.value.upper() + "x")
+    ]
+]
+
+
+def _exits_cleanly(argv, key):
+    """main(argv) exits 0, or exits 2 with one error line that names the key
+    and leaves the working directory as it was."""
+    before = sorted(os.listdir("."))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        return
+    lines = err.getvalue().splitlines()
+    assert code == 2, (argv, code, err.getvalue())
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    assert key in lines[0], (argv, lines)
+    assert sorted(os.listdir(".")) == before, argv
+
+
+@pytest.fixture(scope="module")
+def small_lineage(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "run"
+    assert main(["run", "--g-max", "3", "--out", str(out)]) == 0
+    return (out / "run_000_lineage.csv").read_text()
+
+
+@settings(max_examples=len(CASES), derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(CASES))
+def test_no_value_of_any_key_gives_a_traceback(small_lineage, case):
+    # The command line's contract: exit 0, or exit 2 with one "error:" line that
+    # names the key, no traceback, no warning (pytest turns them into errors),
+    # and no new directory or panel.
+    row, value = case
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for command in ("run", "batch"):
+                flags = {"--g-max": "3", "--runs": "1", "--out": "out", row.flag: value}
+                _exits_cleanly([command, *[x for kv in flags.items() for x in kv]], row.key)
+            lines = small_lineage.splitlines(keepends=True)
+            i = next(i for i, text in enumerate(lines) if text.startswith(f"# {row.key} = "))
+            lines[i] = f"# {row.key} = {value}\n"
+            with open("fuzz_lineage.csv", "w") as fh:
+                fh.write("".join(lines))
+            _exits_cleanly(["plot", "fuzz_lineage.csv", "--out", "panel.svg"], row.key)
+        finally:
+            os.chdir(home)

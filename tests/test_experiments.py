@@ -37,6 +37,7 @@ from spiralns.experiments import (
     CONFIG_KEYS,
     COVERAGE_BINS,
     LINEAGE_DTYPE,
+    MAX_BATCH_BYTES,
     SCENARIO_PINS,
     SUMMARY_COLUMNS,
     TELEMETRY_DTYPE,
@@ -260,6 +261,45 @@ def test_enum_key_help_names_exactly_the_enum_values():
 def test_grid_settings_checked_for_every_archive_kind(items, key):
     with pytest.raises(ConfigError, match=f"^{re.escape(key)} "):
         config_from_items(items)
+
+
+@pytest.mark.parametrize(
+    "items, got",
+    [
+        ({"archive.kind": "unstructured_bounded"}, "none with archive.kind = unstructured_bounded"),
+        ({"archive.max_size": "5"}, "5 with archive.kind = none"),
+        ({"archive.kind": "grid", "archive.max_size": "5"}, "5 with archive.kind = grid"),
+    ],
+)
+def test_max_size_is_given_exactly_for_a_bounded_archive(items, got):
+    with pytest.raises(ConfigError) as info:
+        config_from_items(items)
+    assert str(info.value) == (
+        f"archive.max_size: {got}; set it exactly for unstructured_bounded"
+    )
+
+
+def test_empty_output_dir_is_rejected():
+    with pytest.raises(ConfigError, match="^output_dir must not be empty$"):
+        config_from_items({"output_dir": ""})
+
+
+def test_memory_budget_boundary():
+    # The (g_max, pop_size) birth deltas take exactly MAX_BATCH_BYTES here; every
+    # other count stays far below.  One more generation is over.
+    items = {"runs": "1", "evolution.pop_size": "1024", "evolution.offspring_size": "1"}
+    assert 524288 * 1024 * 8 == MAX_BATCH_BYTES
+    config_from_items({**items, "evolution.g_max": "524288"})
+    with pytest.raises(ConfigError, match=r"^evolution\.pop_size/evolution\.g_max: the batch "
+                       f"needs about {524289 * 1024 * 8} bytes, over the {MAX_BATCH_BYTES}-byte"):
+        config_from_items({**items, "evolution.g_max": "524289"})
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_pinned_scenarios_stay_far_below_the_memory_budget(scenario):
+    # At 1/16 of the budget, each scenario passes with 16 times its default runs.
+    cfg = config_from_items({"scenario": scenario.value})
+    config_from_items({"scenario": scenario.value, "runs": str(16 * cfg.runs)})
 
 
 class TestConfigRoundTrip:
