@@ -297,7 +297,8 @@ def test_memory_budget_boundary():
 
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_pinned_scenarios_stay_far_below_the_memory_budget(scenario):
-    # At 1/16 of the budget, each scenario passes with 16 times its default runs.
+    # Only the runs count grows with runs: at 16 times each scenario's default
+    # runs it stays under the budget, so at the default it is under 1/16 of it.
     cfg = config_from_items({"scenario": scenario.value})
     config_from_items({"scenario": scenario.value, "runs": str(16 * cfg.runs)})
 
