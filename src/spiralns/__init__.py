@@ -9,8 +9,6 @@ policies against exact geometric ground truth.
 __version__ = "0.1.0"
 
 from .spiral import (
-    BehaviorPoint,
-    Genotype,
     GenotypeSpace,
     SpiralParams,
     genotype_bounds,
@@ -27,8 +25,6 @@ from .archives import (
 from .evolution import (
     EvolutionConfig,
     EvolutionState,
-    Individual,
-    LineageEntry,
     Metric,
     init_population,
     mutate,
@@ -61,8 +57,6 @@ from .svgplot import emit_svg, render_svg
 
 __all__ = [
     "__version__",
-    "BehaviorPoint",
-    "Genotype",
     "GenotypeSpace",
     "SpiralParams",
     "genotype_bounds",
@@ -75,8 +69,6 @@ __all__ = [
     "update_discovery_scores",
     "EvolutionConfig",
     "EvolutionState",
-    "Individual",
-    "LineageEntry",
     "Metric",
     "init_population",
     "mutate",

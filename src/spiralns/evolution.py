@@ -23,10 +23,9 @@ from itertools import starmap
 import numpy as np
 
 from .archives import ARC, BIRTH_DELTA, BIRTH_GEN, ETA, ID, N_ROWS, NOVELTY, PARENT_ID
-from .archives import SPACE, T, VALUE, X, Y, _Store
+from .archives import SPACE, T, VALUE, X, Y, _NO_ENTRIES, _Store
 from .archives import (
     GridArchive,
-    Individual,
     SamplingMode,
     SamplingStrategy,
     UnstructuredArchive,
@@ -43,7 +42,6 @@ from .spiral import map_genotypes as map_genotype
 
 __all__ = [
     "Metric",
-    "Individual",
     "EvolutionConfig",
     "EvolutionState",
     "LINEAGE_DTYPE",
@@ -222,9 +220,6 @@ _REBUILD_AT = 48
 # differ from the dense formula by a few ulp at most, far inside this gap.
 _TIE_MARGIN = 1e-9
 
-_NO_POINTS = np.empty((3, 0))
-
-
 def _coordinates(cols: np.ndarray, metric: Metric) -> np.ndarray:
     """The rows of cols the metric reads (rows as in `archives`)."""
     return cols[ARC : ARC + 1] if metric is Metric.GEODESIC else cols[X : Y + 1]
@@ -318,28 +313,6 @@ def _merged_novelty(
     return scores
 
 
-def _pool_novelty(
-    pool: np.ndarray, archive: np.ndarray, k: int, metric: Metric
-) -> np.ndarray:
-    """Score every pool member against pool + archive, excluding itself.
-
-    Both arguments hold x, y and arc_pos rows.  Up to TREE_CROSSOVER
-    candidates the distances fill a dense matrix; above it a k-d tree over
-    all of them picks the neighbors.  Both paths give bit-identical scores.
-    """
-    points = _coordinates(np.concatenate((pool, archive), axis=1), metric)
-    n_pool = pool.shape[1]
-    n = points.shape[1]
-    k_eff = min(k, n - 1)
-    if k_eff < 1:
-        return np.zeros(n_pool)
-    if n <= TREE_CROSSOVER:
-        return _dense_novelty(points, np.arange(n_pool), k_eff, metric)
-    near, idx, last = _tree_query(_kd_tree(points), points, points[:, :n_pool], k_eff, metric)
-    near[idx == np.arange(n_pool)[:, None]] = np.inf  # no subject is its own neighbor
-    return _merged_novelty(near, last, k_eff, metric, points)
-
-
 def _settled_tree(archive, metric: Metric):
     """The archive's k-d tree over its settled entries.
 
@@ -353,23 +326,32 @@ def _settled_tree(archive, metric: Metric):
     return archive.index[1]
 
 
-def _archive_novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
-    """Score every pool column against pool + archive, excluding itself.
+def _novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
+    """Score every pool column against pool + archive (None for none),
+    excluding itself.
 
-    The pool is scored against the archive's settled entries through a k-d
-    tree kept across generations, and densely against itself, the entries
-    appended since the tree was built and the current occupants of
-    overwritten (stale) slots; the tree's candidates in stale slots are
-    dropped.  The scores are bit-identical to _pool_novelty over the same
-    points.
+    Up to TREE_CROSSOVER candidates the distances fill a dense matrix.  Past
+    it, a pool of at most TREE_CROSSOVER is scored against the archive's
+    settled entries through a k-d tree kept across generations, and densely
+    against itself, the entries appended since the tree was built and the
+    current occupants of overwritten (stale) slots; the tree's candidates in
+    stale slots are dropped.  A larger pool queries one tree over all the
+    candidates.  Every path gives bit-identical scores.
     """
-    n_pool = pool.shape[1]
-    entries = archive.columns()
-    if not n_pool <= TREE_CROSSOVER < n_pool + len(archive):
-        return _pool_novelty(pool[: ARC + 1], entries[: ARC + 1], k, metric)
-    k_eff = min(k, n_pool + len(archive) - 1)
     subjects = _coordinates(pool, metric)
-    coords = _coordinates(entries, metric)
+    coords = _coordinates(_NO_ENTRIES if archive is None else archive.columns(), metric)
+    n_pool, n = subjects.shape[1], subjects.shape[1] + coords.shape[1]
+    k_eff = min(k, n - 1)
+    if k_eff < 1:
+        return np.zeros(n_pool)
+    if n <= TREE_CROSSOVER or n_pool > TREE_CROSSOVER:
+        points = np.concatenate((subjects, coords), axis=1)
+        if n <= TREE_CROSSOVER:
+            return _dense_novelty(points, np.arange(n_pool), k_eff, metric)
+        near, idx, last = _tree_query(_kd_tree(points), points, subjects, k_eff, metric)
+        near[idx == np.arange(n_pool)[:, None]] = np.inf  # no subject is its own neighbor
+        return _merged_novelty(near, last, k_eff, metric, points)
+
     tree = _settled_tree(archive, metric)
     settled = archive.settled
     stale = np.fromiter(archive.stale, np.intp, len(archive.stale))
@@ -420,10 +402,7 @@ def step_generation(
     state.next_id += kids.shape[1]
 
     pool = np.concatenate((population, kids), axis=1)
-    if archive is None:
-        pool[NOVELTY] = _pool_novelty(pool[: ARC + 1], _NO_POINTS, config.k, config.metric)
-    else:
-        pool[NOVELTY] = _archive_novelty(pool, archive, config.k, config.metric)
+    pool[NOVELTY] = _novelty(pool, archive, config.k, config.metric)
 
     # Elitist truncation; ties go to the newer individual, then the lower id.
     survivors = np.lexsort((pool[ID], -pool[BIRTH_GEN], -pool[NOVELTY]))[: config.pop_size]

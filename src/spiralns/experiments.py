@@ -152,11 +152,17 @@ class ExperimentConfig:
         _keyed("evolution", self.evolution.validate, self.spiral)
         # The budget: a run's birth deltas, first distance matrix and lineage log, and what
         # execute_batch keeps of each run (evaluated ts twice); doubling stores count double.
+        # An archive holds at most a grid's cells, or its bound plus one generation's additions.
         p, o, g = self.evolution.pop_size, self.evolution.offspring_size, self.evolution.g_max
         grows = {ArchiveKind.NONE: 0, ArchiveKind.GRID: o}.get(
             kind, min(self.additions_per_generation, p))
-        kept = g * (o * (LINEAGE_DTYPE.itemsize + 16) + TELEMETRY_DTYPE.itemsize
-                    + 2 * grows * N_ROWS * 8) + p * 16
+        columns = g * grows
+        if kind is ArchiveKind.GRID:
+            columns = min(columns, self.grid_resolution ** 2)
+        elif kind is ArchiveKind.UNSTRUCTURED_BOUNDED:
+            columns = min(columns, max_size + self.additions_per_generation)
+        kept = (g * (o * (LINEAGE_DTYPE.itemsize + 16) + TELEMETRY_DTYPE.itemsize)
+                + 2 * columns * N_ROWS * 8 + p * 16)
         for keys, size in (
             ("evolution.pop_size/evolution.g_max", g * p * 8),
             ("evolution.pop_size/evolution.offspring_size", (p + o) ** 2 * 8),
@@ -721,9 +727,12 @@ def run_batch(config: ExperimentConfig) -> BatchResult:
     from .svgplot import emit_svg
 
     config.validate()
-    os.makedirs(config.output_dir, exist_ok=True)
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as e:
+        raise OSError(f"output_dir: cannot make {config.output_dir!r}: {e.strerror}") from e
     if not os.access(config.output_dir, os.W_OK):
-        raise OSError(f"output directory {config.output_dir!r} is not writable")
+        raise OSError(f"output_dir: {config.output_dir!r} is not writable")
 
     batch = execute_batch(config)
     for tel in batch.telemetries:

@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import quad
 
 from spiralns import (
-    Genotype,
     GenotypeSpace,
     Metric,
     SpiralParams,
@@ -26,9 +25,10 @@ from spiralns import (
     update_discovery_scores,
 )
 from spiralns.analysis import medians
-from spiralns.evolution import Individual, _pool_novelty
+from spiralns.archives import Individual
+from spiralns.evolution import _novelty
 from spiralns.experiments import execute_batch, final_coverage
-from spiralns.spiral import invert_arc_lengths
+from spiralns.spiral import Genotype, invert_arc_lengths
 
 from helpers import scalar_median, to_columns
 from oracles import arc_length_from_origin, spiral_point
@@ -244,7 +244,7 @@ def test_criterion_8_exact_property_suite(criterion):
         k = int(rng.integers(1, 15))
         metric = Metric.EUCLIDEAN if rng.random() < 0.5 else Metric.GEODESIC
         i = int(rng.integers(n))
-        scores = _pool_novelty(to_columns(pop)[:3], np.empty((3, 0)), k, metric)
+        scores = _novelty(to_columns(pop), None, k, metric)
         exact += float(scores[i]) == _brute_force_novelty(pop[i], pop, k, metric)
     checks["novelty oracle 100/100"] = exact == 100
 

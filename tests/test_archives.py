@@ -11,7 +11,6 @@ from scipy import stats
 
 from spiralns import (
     EvolutionConfig,
-    Genotype,
     GenotypeSpace,
     GridArchive,
     SamplingMode,
@@ -23,9 +22,8 @@ from spiralns import (
     step_generation,
     update_discovery_scores,
 )
-from spiralns.archives import ID, NOVELTY, X, Y
-from spiralns.evolution import Individual
-from spiralns.spiral import BehaviorPoint
+from spiralns.archives import ID, NOVELTY, X, Y, Individual
+from spiralns.spiral import BehaviorPoint, Genotype
 
 from helpers import coords, to_columns, unstructured_archive
 from oracles import arc_length_from_origin, cell_index, spiral_point

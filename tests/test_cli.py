@@ -154,6 +154,18 @@ class TestBatch:
                                   capsys)
         assert code == 0 and stdout.count(": coverage ") == 1
 
+    @pytest.mark.parametrize(
+        "sub, reason", [("", "File exists"), ("sub", "Not a directory")]
+    )
+    def test_output_dir_that_cannot_be_made_exits_2_naming_it(self, tmp_path, capsys, sub, reason):
+        afile = tmp_path / "afile"
+        afile.write_text("x\n")
+        out = str(afile / sub) if sub else str(afile)
+        code, _, stderr = run_cli(["batch", "--runs", "1", "--g-max", "5", "--out", out], capsys)
+        assert code == 2
+        assert stderr == f"error: output_dir: cannot make {out!r}: {reason}\n"
+        assert afile.read_text() == "x\n"
+
     def test_bad_key_value_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["batch", "--scenario", "Custom", "--sigma", "-1", "--out", str(tmp_path)],

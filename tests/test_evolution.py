@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from spiralns import (
     EvolutionConfig,
-    Genotype,
     GenotypeSpace,
     Metric,
     SamplingMode,
@@ -21,9 +20,9 @@ from spiralns import (
     step_generation,
 )
 from spiralns import evolution
-from spiralns.archives import ETA, N_ROWS
-from spiralns.evolution import TREE_CROSSOVER, Individual, _pool_novelty
-from spiralns.spiral import BehaviorPoint
+from spiralns.archives import ETA, N_ROWS, Individual
+from spiralns.evolution import TREE_CROSSOVER, _novelty
+from spiralns.spiral import BehaviorPoint, Genotype
 
 from helpers import append_columns, column_archive, to_columns, unstructured_archive
 from oracles import (
@@ -170,13 +169,16 @@ def novelty_score(subject, population, archive_members, k, metric):
     return sum(dists[:k_eff]) / k_eff
 
 
-def coords(individuals):
-    return to_columns(individuals)[:3]
+def pool_scores(pool, archive_members, k, metric):
+    """The program's scores of the pool records against pool + archive
+    records, with no archive object when there are no archive records."""
+    archive = unstructured_archive(archive_members) if archive_members else None
+    return _novelty(to_columns(pool), archive, k, metric)
 
 
 def pool_score(subject, pool, archive_members, k, metric):
-    """The subject's score from the program's pool scorer."""
-    scores = _pool_novelty(coords(pool), coords(archive_members), k, metric)
+    """The subject's score from the program's scorer."""
+    scores = pool_scores(pool, archive_members, k, metric)
     return float(scores[next(i for i, ind in enumerate(pool) if ind is subject)])
 
 
@@ -246,7 +248,7 @@ class TestNoveltyScore:
                 make_individual(float(t), 100 + i)
                 for i, t in enumerate(rng.uniform(0, PARAMS.t_max, 15))
             ]
-            scores = _pool_novelty(coords(pool), coords(arch), 10, metric)
+            scores = pool_scores(pool, arch, 10, metric)
             for ind, score in zip(pool, scores):
                 assert float(score) == novelty_score(ind, pool, arch, 10, metric)
 
@@ -280,7 +282,7 @@ class TestPoolNovelty:
     """The pool scorer must equal the scalar novelty_score bit for bit."""
 
     def check(self, pool, arch, k, metric):
-        scores = _pool_novelty(coords(pool), coords(arch), k, metric)
+        scores = pool_scores(pool, arch, k, metric)
         want = [novelty_score(ind, pool, arch, k, metric) for ind in pool]
         assert [float(s) for s in scores] == want
 
@@ -345,14 +347,16 @@ def spiral_columns(ts) -> np.ndarray:
 
 
 def dense_scores(pool, archive, k, metric):
-    """The dense routine over pool + archive: the oracle the index must equal."""
-    points = evolution._coordinates(np.concatenate((pool, archive.columns()), axis=1), metric)
+    """The dense routine over pool + archive (None for none): the oracle
+    every scoring path must equal."""
+    entries = np.empty((N_ROWS, 0)) if archive is None else archive.columns()
+    points = evolution._coordinates(np.concatenate((pool, entries), axis=1), metric)
     k_eff = min(k, points.shape[1] - 1)
     return evolution._dense_novelty(points, np.arange(pool.shape[1]), k_eff, metric)
 
 
 def assert_bit_equal(pool, archive, k, metric):
-    got = evolution._archive_novelty(pool, archive, k, metric)
+    got = _novelty(pool, archive, k, metric)
     want = dense_scores(pool, archive, k, metric)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -458,19 +462,64 @@ class TestArchiveIndex:
             archive._put(len(archive) - 1, spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1))[:, 0])
             archive._data[ETA, :5] = 1.0
             assert not archive.stale
-            evolution._archive_novelty(pool, archive, 10, Metric.EUCLIDEAN)
+            _novelty(pool, archive, 10, Metric.EUCLIDEAN)
         assert len(builds) == 1 + appends // (evolution._REBUILD_AT + 1)
 
     def test_an_eviction_drops_the_index(self):
         rng = np.random.default_rng(45)
         archive = column_archive(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
         pool = spiral_columns(rng.uniform(0.0, PARAMS.t_max, 60))
-        evolution._archive_novelty(pool, archive, 10, Metric.EUCLIDEAN)
+        _novelty(pool, archive, 10, Metric.EUCLIDEAN)
         archive._put(3, archive.columns()[:, 4].copy())
         assert archive.index is not None and archive.stale == {3}
         archive._delete(0)
         assert archive.index is None and archive.settled == 0 and not archive.stale
         assert_bit_equal(pool, archive, 10, Metric.EUCLIDEAN)
+
+
+class TestScoringPaths:
+    """_novelty picks one path per call: dense up to TREE_CROSSOVER
+    candidates, then the archive's kept tree for a pool of at most
+    TREE_CROSSOVER, else one tree over everything.  The tree builders it
+    calls show which path ran; each equals the dense routine bit for bit."""
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize(
+        "n_pool, n_arch, path",
+        [
+            (60, None, "dense"),
+            (60, TREE_CROSSOVER - 60, "dense"),
+            (TREE_CROSSOVER, None, "dense"),
+            (60, TREE_CROSSOVER - 59, "kept_tree"),
+            (TREE_CROSSOVER, 1, "kept_tree"),
+            (TREE_CROSSOVER + 1, None, "one_tree"),
+            (1059, None, "one_tree"),  # Fig3j's pool
+            (1059, 500, "one_tree"),
+        ],
+    )
+    def test_each_path_equals_the_dense_routine(self, n_pool, n_arch, path, k, metric, monkeypatch):
+        rng = np.random.default_rng(n_pool + (n_arch or 0))
+        archive = None
+        if n_arch is not None:
+            archive = column_archive(spiral_columns(rng.uniform(0.0, PARAMS.t_max, n_arch)))
+        # Thirty generation-zero clones tie at the one tree's last neighbor,
+        # so its dense fallback runs too.
+        t0 = 28 * math.pi
+        pool = np.concatenate(
+            (spiral_columns(np.full(30, t0)), spiral_columns(t0 + rng.normal(0.0, 3.0, n_pool - 30))),
+            axis=1,
+        )
+        taken = []
+        for name in ("_settled_tree", "_kd_tree"):
+            real = getattr(evolution, name)
+            monkeypatch.setattr(
+                evolution, name, lambda *a, _name=name, _real=real: taken.append(_name) or _real(*a)
+            )
+        assert_bit_equal(pool, archive, k, metric)
+        # A fresh archive builds its kept tree on the first call.
+        assert taken == {"dense": [], "kept_tree": ["_settled_tree", "_kd_tree"],
+                         "one_tree": ["_kd_tree"]}[path]
 
 
 class TestStepGeneration:

@@ -295,6 +295,16 @@ def test_memory_budget_boundary():
         config_from_items({**items, "evolution.g_max": "524289"})
 
 
+@pytest.mark.parametrize("scenario, accepted, rejected", [("Fig3h", 1000, 2000), ("Fig3e", 2000, 2500)])
+def test_memory_budget_counts_an_archive_up_to_its_capacity(scenario, accepted, rejected):
+    # A grid holds at most its cells, a bounded archive its bound plus one
+    # generation's additions.  Counted at every addition, both `accepted`
+    # batches would be over the budget.
+    config_from_items({"scenario": scenario, "runs": str(accepted)})
+    with pytest.raises(ConfigError, match=r"^runs: the batch needs about \d+ bytes, over the "):
+        config_from_items({"scenario": scenario, "runs": str(rejected)})
+
+
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_pinned_scenarios_stay_far_below_the_memory_budget(scenario):
     # Only the runs count grows with runs: at 16 times each scenario's default
@@ -783,8 +793,9 @@ class TestSvg:
 def test_generation_loop_builds_no_records(items, monkeypatch):
     # Records are built only where the state is read from outside the loop,
     # never per generation.
-    from spiralns import BehaviorPoint, Genotype, Individual, experiments
-    from spiralns.archives import N_ROWS, to_records
+    from spiralns import experiments
+    from spiralns.archives import N_ROWS, Individual, to_records
+    from spiralns.spiral import BehaviorPoint, Genotype
 
     built = []
     for cls in (Individual, Genotype, BehaviorPoint):

@@ -16,16 +16,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spiralns import (
-    BehaviorPoint,
     EvolutionConfig,
-    Genotype,
     GenotypeSpace,
     SpiralParams,
     genotype_bounds,
     map_genotypes,
 )
 from spiralns.evolution import Metric, _distance
-from spiralns.spiral import invert_arc_lengths
+from spiralns.spiral import BehaviorPoint, Genotype, invert_arc_lengths
 
 from oracles import (
     arc_length,
