@@ -220,6 +220,7 @@ _REBUILD_AT = 48
 # differ from the dense formula by a few ulp at most, far inside this gap.
 _TIE_MARGIN = 1e-9
 
+
 def _coordinates(cols: np.ndarray, metric: Metric) -> np.ndarray:
     """The rows of cols the metric reads (rows as in `archives`)."""
     return cols[ARC : ARC + 1] if metric is Metric.GEODESIC else cols[X : Y + 1]

@@ -138,6 +138,8 @@ class ExperimentConfig:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.output_dir:
             raise ConfigError("output_dir must not be empty")
+        if "\0" in self.output_dir:
+            raise ConfigError(f"output_dir must not hold a NUL byte, got {self.output_dir!r}")
         kind, max_size = self.archive_kind, self.archive_max_size
         if (kind is ArchiveKind.UNSTRUCTURED_BOUNDED) != (max_size is not None):
             raise ConfigError(f"archive.max_size: {_fmt(max_size)} with archive.kind = "

@@ -498,7 +498,9 @@ class TestScoringPaths:
             (1059, 500, "one_tree"),
         ],
     )
-    def test_each_path_equals_the_dense_routine(self, n_pool, n_arch, path, k, metric, monkeypatch):
+    def test_each_path_equals_the_dense_routine(
+        self, n_pool, n_arch, path, k, metric, monkeypatch
+    ):
         rng = np.random.default_rng(n_pool + (n_arch or 0))
         archive = None
         if n_arch is not None:
@@ -507,7 +509,8 @@ class TestScoringPaths:
         # so its dense fallback runs too.
         t0 = 28 * math.pi
         pool = np.concatenate(
-            (spiral_columns(np.full(30, t0)), spiral_columns(t0 + rng.normal(0.0, 3.0, n_pool - 30))),
+            (spiral_columns(np.full(30, t0)),
+             spiral_columns(t0 + rng.normal(0.0, 3.0, n_pool - 30))),
             axis=1,
         )
         taken = []

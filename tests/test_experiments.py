@@ -284,6 +284,13 @@ def test_empty_output_dir_is_rejected():
         config_from_items({"output_dir": ""})
 
 
+def test_output_dir_with_a_nul_byte_is_rejected():
+    # No path holds one; os.makedirs would fail without naming the key.
+    with pytest.raises(ConfigError) as e:
+        config_from_items({"output_dir": "a\0b"})
+    assert str(e.value) == "output_dir must not hold a NUL byte, got 'a\\x00b'"
+
+
 def test_memory_budget_boundary():
     # The (g_max, pop_size) birth deltas take exactly MAX_BATCH_BYTES here; every
     # other count stays far below.  One more generation is over.
@@ -295,7 +302,9 @@ def test_memory_budget_boundary():
         config_from_items({**items, "evolution.g_max": "524289"})
 
 
-@pytest.mark.parametrize("scenario, accepted, rejected", [("Fig3h", 1000, 2000), ("Fig3e", 2000, 2500)])
+@pytest.mark.parametrize(
+    "scenario, accepted, rejected", [("Fig3h", 1000, 2000), ("Fig3e", 2000, 2500)]
+)
 def test_memory_budget_counts_an_archive_up_to_its_capacity(scenario, accepted, rejected):
     # A grid holds at most its cells, a bounded archive its bound plus one
     # generation's additions.  Counted at every addition, both `accepted`
