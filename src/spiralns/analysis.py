@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -171,7 +171,8 @@ def fit_damped_oscillator(H: Sequence[float]) -> OscillatorFit:
     A coarse grid over decay and frequency (with the remaining parameters
     solved linearly) seeds a bounded non-linear refinement; the candidate
     with the smallest residual wins.  H must be finite, with a finite sum of
-    squares.
+    squares.  When the largest |H| is 2**64 or more, or positive and under
+    2**-65, H is fitted divided by a power of two, then scaled back.
     """
     # Imported here: scipy.optimize takes most of a second to load, and
     # nothing else in the package needs it.
@@ -189,6 +190,13 @@ def fit_damped_oscillator(H: Sequence[float]) -> OscillatorFit:
     with np.errstate(over="ignore"):
         if not math.isfinite(float(y @ y)):
             raise ValueError("the sum of squares overflows; the fit needs it finite")
+    e = math.frexp(float(np.abs(y).max()))[1]
+    if abs(e) > 64:
+        # Fit H / 2**e, whose largest |value| lies in [0.5, 1), and scale back.
+        # A power of two scales exactly, so the fit is the same at any scale.
+        fit = fit_damped_oscillator(np.ldexp(y, -e))
+        return replace(fit, amplitude=math.ldexp(fit.amplitude, e),
+                       offset=math.ldexp(fit.offset, e), residual=math.ldexp(fit.residual, e))
     g = np.arange(len(y), dtype=float)
 
     def resid(x):

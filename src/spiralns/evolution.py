@@ -266,26 +266,18 @@ def _kd_tree(points: np.ndarray):
     return cKDTree(points.T, balanced_tree=False, compact_nodes=False, copy_data=True)
 
 
-def _tree_query(
-    tree, points: np.ndarray, subjects: np.ndarray, k_eff: int, metric: Metric,
-    bound: float = np.inf,
-):
-    """The tree's k_eff + 2 nearest columns of points to each subject column,
-    among those closer than bound.
+def _tree_query(tree, points: np.ndarray, subjects: np.ndarray, k_eff: int, metric: Metric):
+    """The tree's k_eff + 2 nearest columns of points to each subject column.
 
-    Returns their dense-formula distances (inf for missing ones) and column
-    indices, and the tree's last returned distance per subject.  That is inf
-    where the tree returned fewer than k_eff + 2: it left out no point
-    closer than the bound, which a caller sets past each subject's k-th
-    distance.
+    Returns their dense-formula distances and column indices, and the tree's
+    last returned distance per subject: no point it left out is closer.  That
+    is inf when the tree returned every point.
     """
     n, size = subjects.shape[1], points.shape[1]
     k_query = min(k_eff + 2, size)
-    dist, idx = tree.query(subjects.T, k=k_query, distance_upper_bound=bound)
+    dist, idx = tree.query(subjects.T, k=k_query)
     dist, idx = dist.reshape(n, k_query), idx.reshape(n, k_query)
-    # Missing neighbors carry index `size`; clip them in, then drop them.
-    near = _distance(subjects[:, :, None], points.take(idx, axis=1, mode="clip"), metric)
-    near[dist == np.inf] = np.inf
+    near = _distance(subjects[:, :, None], points[:, idx], metric)
     last = dist[:, -1] if k_query < size else np.full(n, np.inf)
     return near, idx, last
 
@@ -360,17 +352,11 @@ def _novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
     others = np.concatenate((subjects, coords[:, settled:], coords[:, stale]), axis=1)
     dense = _distance(subjects[:, :, None], others[:, None, :], metric)
     dense[np.arange(n_pool), np.arange(n_pool)] = np.inf
-    bound = np.inf
-    if dense.shape[1] >= k_eff:
-        # Only tree points inside every row's k-th dense distance can count;
-        # the slack keeps ulp-level differences of the tree's arithmetic out.
-        dense = np.partition(dense, k_eff - 1, axis=1)[:, :k_eff]
-        bound = dense.max() * (1.0 + 2.0 * _TIE_MARGIN)
-    near, idx, last = _tree_query(tree, coords[:, :settled], subjects, k_eff, metric, bound)
+    near, idx, last = _tree_query(tree, coords[:, :settled], subjects, k_eff, metric)
     if stale.size:
         dropped = np.zeros(settled, dtype=bool)
         dropped[stale] = True
-        near[dropped[idx.clip(max=settled - 1)]] = np.inf
+        near[dropped[idx]] = np.inf
     near = np.concatenate((dense, near), axis=1)
     return _merged_novelty(near, last, k_eff, metric, subjects, coords)
 

@@ -142,6 +142,19 @@ class TestFitDampedOscillator:
         with pytest.raises(ValueError, match=message):
             fit_damped_oscillator(H)
 
+    @pytest.mark.parametrize("k", [-600, -100, 100, 400])
+    def test_power_of_two_scale_gives_the_same_fit(self, k):
+        # Warnings are errors here, so the scaled fit may not overflow either.
+        rng = np.random.default_rng(23)
+        g = np.arange(200)
+        H = model(g, A=0.6, lam=0.01, om=0.2, phi=0.3, c=0.1) + rng.normal(0.0, 0.02, len(g))
+        assert 0.5 <= np.abs(H).max() < 1.0
+        base, fit = fit_damped_oscillator(H), fit_damped_oscillator(np.ldexp(H, k))
+        for name in ("amplitude", "offset", "residual"):
+            assert getattr(fit, name) == math.ldexp(getattr(base, name), k), name
+        for name in ("decay", "frequency", "phase"):
+            assert getattr(fit, name) == getattr(base, name), name
+
 
 def fit_fields(fit) -> str:
     return repr((fit.amplitude, fit.decay, fit.frequency, fit.phase, fit.offset, fit.residual))

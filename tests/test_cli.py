@@ -28,19 +28,24 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def test_import_leaves_scipy_optimize_and_spatial_unloaded():
-    # Every command pays the package import; scipy's optimizer and k-d tree
-    # are loaded only by the calls that need them.
+def run_python(args, **kwargs):
+    """Run a fresh interpreter that imports this checkout's package."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
+    )
+
+
+def test_import_leaves_scipy_optimize_and_spatial_unloaded():
+    # Every command pays the package import; scipy's optimizer and k-d tree
+    # are loaded only by the calls that need them.
     probe = (
         "import sys, spiralns.cli; "
         "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
+    out = run_python(["-c", probe], check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -294,6 +299,17 @@ class TestBatch:
         code, _, stderr = run_cli(["batch", *FAST, "--out", str(tmp_path / "o")], capsys)
         assert code == 2
         assert stderr == "error: out of memory\n"
+
+    def test_huge_spiral_fits_without_a_warning(self, tmp_path):
+        # Median deltas near 1e60 overflow inside an unscaled fit.
+        out = tmp_path / "big"
+        done = run_python(["-W", "error", "-m", "spiralns.cli", "batch", "--g-max", "40",
+                           "--runs", "1", "--spiral-a", "1e60", "--out", str(out)])
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = (out / "summary.csv").read_text().splitlines()
+        header, run = [line.split(",") for line in lines if not line.startswith("#")][:2]
+        fits = [float(cell) for key, cell in zip(header, run) if key.startswith("fit_")]
+        assert len(fits) == 6 and all(map(math.isfinite, fits))
 
 
 @pytest.fixture

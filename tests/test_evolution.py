@@ -22,6 +22,7 @@ from spiralns import (
 from spiralns import evolution
 from spiralns.archives import ETA, N_ROWS, Individual
 from spiralns.evolution import TREE_CROSSOVER, _novelty
+from spiralns.experiments import config_from_items, run_single
 from spiralns.spiral import BehaviorPoint, Genotype
 
 from helpers import append_columns, column_archive, to_columns, unstructured_archive
@@ -523,6 +524,32 @@ class TestScoringPaths:
         # A fresh archive builds its kept tree on the first call.
         assert taken == {"dense": [], "kept_tree": ["_settled_tree", "_kd_tree"],
                          "one_tree": ["_kd_tree"]}[path]
+
+    @pytest.mark.parametrize(
+        "items, g_max, seed, rows",
+        [
+            ({"archive.kind": "unstructured_unbounded"}, 300, 4, 7),  # Fig3a's settings
+            ({"archive.kind": "grid", "sampling.mode": "mixed_guided"}, 500, 28, 2),  # Fig3l's
+        ],
+    )
+    def test_dense_fallback_rows_over_a_run(self, items, g_max, seed, rows, monkeypatch):
+        # A trust test that sends more rows to the dense routine changes no
+        # score, so no digest sees it; only these counts do.  The kept tree
+        # queried with a search radius gave the same counts.
+        taken = []
+        dense = evolution._dense_novelty
+
+        def spy(points, r, *a):
+            if points.shape[1] > TREE_CROSSOVER:  # a tree path's fallback
+                taken.append(len(r))
+            return dense(points, r, *a)
+
+        monkeypatch.setattr(evolution, "_dense_novelty", spy)
+        run_single(config_from_items(
+            {"scenario": "Custom", **items, "evolution.g_max": str(g_max), "runs": "1",
+             "base_seed": str(seed)}
+        ))
+        assert sum(taken) == rows
 
 
 class TestStepGeneration:
