@@ -45,8 +45,12 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 def _collect_items(args) -> dict:
     items = {}
     if args.config:
-        with open(args.config) as fh:
-            items = parse_config_items(fh.read(), f"{args.config}:")
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{args.config}: {e}") from None
+        items = parse_config_items(text, f"{args.config}:")
     for row in CONFIG_KEYS:
         value = getattr(args, row.key)
         if value is not None:

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .spiral import GenotypeSpace, SpiralParams
 __all__ = [
     "Scenario",
     "ArchiveKind",
+    "ArchiveConfig",
     "ConfigError",
     "ExperimentConfig",
     "ConfigKey",
@@ -85,24 +86,6 @@ PHASE_WINDOW = 11
 MAX_BATCH_BYTES = 2**32
 
 
-class Scenario(Enum):
-    FIG2A = "Fig2a"
-    FIG2B = "Fig2b"
-    FIG2C = "Fig2c"
-    FIG2D = "Fig2d"
-    FIG3A = "Fig3a"
-    FIG3C = "Fig3c"
-    FIG3E = "Fig3e"
-    FIG3F = "Fig3f"
-    FIG3G = "Fig3g"
-    FIG3H = "Fig3h"
-    FIG3I = "Fig3i"
-    FIG3J = "Fig3j"
-    FIG3K = "Fig3k"
-    FIG3L = "Fig3l"
-    CUSTOM = "Custom"
-
-
 class ArchiveKind(Enum):
     NONE = "none"
     UNSTRUCTURED_UNBOUNDED = "unstructured_unbounded"
@@ -110,8 +93,52 @@ class ArchiveKind(Enum):
     GRID = "grid"
 
 
+_EUC = Metric.EUCLIDEAN
+_GEO = Metric.GEODESIC
+_ANG = GenotypeSpace.ANGLE
+_ARC = GenotypeSpace.ARC_LENGTH
+_NONE = ArchiveKind.NONE
+_BOUNDED = ArchiveKind.UNSTRUCTURED_BOUNDED
+_GRID = ArchiveKind.GRID
+_POP = SamplingMode.POPULATION_ONLY
+_RANDOM = SamplingMode.MIXED_RANDOM
+
+# Each named scenario: metric, genotype space, archive kind, sampling mode and
+# any other keys it pins.
+_SCENARIOS = {
+    "Fig2a": (_EUC, _ANG, _NONE, _POP),
+    "Fig2b": (_EUC, _ARC, _NONE, _POP),
+    "Fig2c": (_GEO, _ANG, _NONE, _POP),
+    "Fig2d": (_GEO, _ARC, _NONE, _POP),
+    "Fig3a": (_EUC, _ANG, ArchiveKind.UNSTRUCTURED_UNBOUNDED, _POP),
+    "Fig3c": (_EUC, _ANG, _BOUNDED, _POP, {"archive.max_size": 100}),
+    "Fig3e": (_EUC, _ANG, _BOUNDED, _POP, {"archive.max_size": 50}),
+    "Fig3f": (_EUC, _ANG, _BOUNDED, _POP, {"archive.max_size": 200}),
+    "Fig3g": (_EUC, _ANG, _BOUNDED, _POP, {"archive.max_size": 3000}),
+    "Fig3h": (_EUC, _ANG, _GRID, _POP),
+    "Fig3i": (_EUC, _ANG, _BOUNDED, _RANDOM, {"archive.max_size": 200}),
+    # Archive-free baseline holding the evaluation budget of Fig3i fixed:
+    # 1030 + 29 * 1000 = 30 + 30 * 1000 evaluations.
+    "Fig3j": (_EUC, _ANG, _NONE, _POP,
+              {"evolution.pop_size": 1030, "evolution.offspring_size": 29}),
+    "Fig3k": (_EUC, _ANG, _GRID, _RANDOM),
+    "Fig3l": (_EUC, _ANG, _GRID, SamplingMode.MIXED_GUIDED),
+}
+
+Scenario = Enum("Scenario", [(n.upper(), n) for n in (*_SCENARIOS, "Custom")], module=__name__)
+
+
 class ConfigError(ValueError):
     """A configuration problem, phrased around the offending key."""
+
+
+@dataclass
+class ArchiveConfig:
+    kind: ArchiveKind = ArchiveKind.NONE
+    max_size: Optional[int] = None
+    additions_per_generation: int = 6
+    resolution: int = 50
+    epsilon: float = 0.05
 
 
 @dataclass
@@ -119,11 +146,7 @@ class ExperimentConfig:
     scenario: Scenario = Scenario.CUSTOM
     spiral: SpiralParams = field(default_factory=SpiralParams)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-    archive_kind: ArchiveKind = ArchiveKind.NONE
-    archive_max_size: Optional[int] = None
-    additions_per_generation: int = 6
-    grid_resolution: int = 50
-    grid_epsilon: float = 0.05
+    archive: ArchiveConfig = field(default_factory=ArchiveConfig)
     sampling: SamplingStrategy = field(
         default_factory=lambda: SamplingStrategy(SamplingMode.POPULATION_ONLY)
     )
@@ -140,13 +163,18 @@ class ExperimentConfig:
             raise ConfigError("output_dir must not be empty")
         if "\0" in self.output_dir:
             raise ConfigError(f"output_dir must not hold a NUL byte, got {self.output_dir!r}")
-        kind, max_size = self.archive_kind, self.archive_max_size
+        if "\n" in self.output_dir or "\r" in self.output_dir:
+            # Each artifact header line holds output_dir; a break would split it.
+            raise ConfigError(f"output_dir must not hold a line break, got {self.output_dir!r}")
+        archive = self.archive
+        kind, max_size = archive.kind, archive.max_size
+        additions = archive.additions_per_generation
         if (kind is ArchiveKind.UNSTRUCTURED_BOUNDED) != (max_size is not None):
             raise ConfigError(f"archive.max_size: {_fmt(max_size)} with archive.kind = "
                               f"{kind.value}; set it exactly for unstructured_bounded")
         # The archives hold their own rules; both are built, whatever archive.kind.
-        _keyed("archive", UnstructuredArchive, max_size, self.additions_per_generation)
-        _keyed("archive", GridArchive, self.spiral, self.grid_resolution, self.grid_epsilon)
+        _keyed("archive", UnstructuredArchive, max_size, additions)
+        _keyed("archive", GridArchive, self.spiral, archive.resolution, archive.epsilon)
         if self.sampling.mode is not SamplingMode.POPULATION_ONLY and kind is ArchiveKind.NONE:
             raise ConfigError("sampling.mode: archive resampling requires an archive")
         if self.sampling.mode is SamplingMode.MIXED_GUIDED and kind is not ArchiveKind.GRID:
@@ -156,13 +184,12 @@ class ExperimentConfig:
         # execute_batch keeps of each run (evaluated ts twice); doubling stores count double.
         # An archive holds at most a grid's cells, or its bound plus one generation's additions.
         p, o, g = self.evolution.pop_size, self.evolution.offspring_size, self.evolution.g_max
-        grows = {ArchiveKind.NONE: 0, ArchiveKind.GRID: o}.get(
-            kind, min(self.additions_per_generation, p))
+        grows = {ArchiveKind.NONE: 0, ArchiveKind.GRID: o}.get(kind, min(additions, p))
         columns = g * grows
         if kind is ArchiveKind.GRID:
-            columns = min(columns, self.grid_resolution ** 2)
+            columns = min(columns, archive.resolution ** 2)
         elif kind is ArchiveKind.UNSTRUCTURED_BOUNDED:
-            columns = min(columns, max_size + self.additions_per_generation)
+            columns = min(columns, max_size + additions)
         kept = (g * (o * (LINEAGE_DTYPE.itemsize + 16) + TELEMETRY_DTYPE.itemsize)
                 + 2 * columns * N_ROWS * 8 + p * 16)
         for keys, size in (
@@ -188,130 +215,100 @@ def _keyed(section: str, build: Callable, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Config keys: flat dotted paths, each with a parser and an attribute path.
-
-def _parse_int(key, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
-
-
-def _parse_float(key, text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
-    return value
-
-
-def _enum_parser(enum_cls):
-    def parse(key, text):
-        lowered = text.strip().lower()
-        for member in enum_cls:
-            if member.value.lower() == lowered:
-                return member
-        choices = ", ".join(m.value for m in enum_cls)
-        raise ConfigError(f"{key}: expected one of {{{choices}}}, got {text!r}")
-
-    return parse
-
+# Config keys: flat dotted paths, each the attribute path of its setting in
+# ExperimentConfig.  A key's default and parser come from its dataclass field.
 
 def _one_of(enum_cls) -> str:
     *rest, last = [member.value for member in enum_cls]
     return f"{', '.join(rest)} or {last}"
 
 
-def _parse_optional_int(key, text):
-    if text.strip().lower() == "none":
-        return None
-    return _parse_int(key, text)
-
-
-def _parse_str(key, text):
-    return text
-
-
 class ConfigKey(NamedTuple):
-    """One config key: its parser, where it lives, its flag and help text."""
+    """One config key with its flag and help text."""
 
     key: str
-    parse: Callable  # (key, text) -> value, raising ConfigError
-    path: str  # ExperimentConfig attribute path, e.g. "evolution.sigma"
     flag: str
     help: str
 
 
 # Every config key, in the order headers and echoes list them.
 CONFIG_KEYS = (
-    ConfigKey("scenario", _enum_parser(Scenario), "scenario", "--scenario", _one_of(Scenario)),
-    ConfigKey("runs", _parse_int, "runs", "--runs", "number of seeded runs in the batch"),
-    ConfigKey("base_seed", _parse_int, "base_seed", "--seed", "base seed; run i uses seed + i"),
-    ConfigKey("output_dir", _parse_str, "output_dir", "--out", "output directory"),
-    ConfigKey("spiral.a", _parse_float, "spiral.a", "--spiral-a", "spiral scale coefficient"),
-    ConfigKey("spiral.alpha", _parse_float, "spiral.alpha", "--alpha", "spiral turns parameter"),
-    ConfigKey("evolution.pop_size", _parse_int, "evolution.pop_size", "--pop-size",
-              "population size"),
-    ConfigKey("evolution.offspring_size", _parse_int, "evolution.offspring_size",
-              "--offspring-size", "offspring per generation"),
-    ConfigKey("evolution.k", _parse_int, "evolution.k", "--k", "nearest neighbors for novelty"),
-    ConfigKey("evolution.sigma", _parse_float, "evolution.sigma", "--sigma",
-              "mutation standard deviation"),
-    ConfigKey("evolution.g_max", _parse_int, "evolution.g_max", "--g-max",
-              "generations per run"),
-    ConfigKey("evolution.metric", _enum_parser(Metric), "evolution.metric", "--metric",
-              _one_of(Metric)),
-    ConfigKey("evolution.genotype_space", _enum_parser(GenotypeSpace),
-              "evolution.genotype_space", "--genotype-space", _one_of(GenotypeSpace)),
-    ConfigKey("evolution.init_t0", _parse_float, "evolution.init_t0", "--init-t0",
-              "initial curve parameter"),
-    ConfigKey("archive.kind", _enum_parser(ArchiveKind), "archive_kind", "--archive-kind",
-              _one_of(ArchiveKind)),
-    ConfigKey("archive.max_size", _parse_optional_int, "archive_max_size",
-              "--archive-max-size", "bound for a bounded archive"),
-    ConfigKey("archive.additions_per_generation", _parse_int, "additions_per_generation",
-              "--archive-additions", "archive additions per generation"),
-    ConfigKey("archive.resolution", _parse_int, "grid_resolution", "--grid-resolution",
-              "grid cells per axis"),
-    ConfigKey("archive.epsilon", _parse_float, "grid_epsilon", "--grid-epsilon",
-              "grid replacement probability"),
-    ConfigKey("sampling.mode", _enum_parser(SamplingMode), "sampling.mode", "--sampling-mode",
-              _one_of(SamplingMode)),
-    ConfigKey("sampling.archive_fraction", _parse_float, "sampling.archive_fraction",
-              "--archive-fraction", "parent slots drawn from archive"),
-    ConfigKey("sampling.tau", _parse_float, "sampling.tau", "--tau",
-              "discovery score update rate"),
+    ConfigKey("scenario", "--scenario", _one_of(Scenario)),
+    ConfigKey("runs", "--runs", "number of seeded runs in the batch"),
+    ConfigKey("base_seed", "--seed", "base seed; run i uses seed + i"),
+    ConfigKey("output_dir", "--out", "output directory"),
+    ConfigKey("spiral.a", "--spiral-a", "spiral scale coefficient"),
+    ConfigKey("spiral.alpha", "--alpha", "spiral turns parameter"),
+    ConfigKey("evolution.pop_size", "--pop-size", "population size"),
+    ConfigKey("evolution.offspring_size", "--offspring-size", "offspring per generation"),
+    ConfigKey("evolution.k", "--k", "nearest neighbors for novelty"),
+    ConfigKey("evolution.sigma", "--sigma", "mutation standard deviation"),
+    ConfigKey("evolution.g_max", "--g-max", "generations per run"),
+    ConfigKey("evolution.metric", "--metric", _one_of(Metric)),
+    ConfigKey("evolution.genotype_space", "--genotype-space", _one_of(GenotypeSpace)),
+    ConfigKey("evolution.init_t0", "--init-t0", "initial curve parameter"),
+    ConfigKey("archive.kind", "--archive-kind", _one_of(ArchiveKind)),
+    ConfigKey("archive.max_size", "--archive-max-size", "bound for a bounded archive"),
+    ConfigKey("archive.additions_per_generation", "--archive-additions",
+              "archive additions per generation"),
+    ConfigKey("archive.resolution", "--grid-resolution", "grid cells per axis"),
+    ConfigKey("archive.epsilon", "--grid-epsilon", "grid replacement probability"),
+    ConfigKey("sampling.mode", "--sampling-mode", _one_of(SamplingMode)),
+    ConfigKey("sampling.archive_fraction", "--archive-fraction",
+              "parent slots drawn from archive"),
+    ConfigKey("sampling.tau", "--tau", "discovery score update rate"),
 )
 
-_KEYS = {row.key: row for row in CONFIG_KEYS}
-
-# The class owning the attributes under each path prefix ("" for top level).
+# The class owning the attributes under each path prefix ("" for top level),
+# and its fields' annotations, resolved once.
 _SECTIONS = {
     "": ExperimentConfig,
     "spiral": SpiralParams,
     "evolution": EvolutionConfig,
+    "archive": ArchiveConfig,
     "sampling": SamplingStrategy,
 }
+_HINTS = {section: get_type_hints(cls) for section, cls in _SECTIONS.items()}
 
 
-def _field_default(path):
-    # Field defaults, not a default instance: SamplingStrategy zeroes
-    # archive_fraction under population-only sampling.
-    section, _, name = path.rpartition(".")
-    return next(f.default for f in fields(_SECTIONS[section]) if f.name == name)
+def _field(key):
+    # The annotation and the field default, not a default instance's value:
+    # SamplingStrategy zeroes archive_fraction under population-only sampling.
+    section, _, name = key.rpartition(".")
+    default = next(f.default for f in fields(_SECTIONS[section]) if f.name == name)
+    return _HINTS[section][name], default
 
 
-_DEFAULTS = {row.key: _field_default(row.path) for row in CONFIG_KEYS}
+_FIELDS = {row.key: _field(row.key) for row in CONFIG_KEYS}
+_DEFAULTS = {key: default for key, (_, default) in _FIELDS.items()}
 
 
 def parse_value(key: str, text: str):
-    """The typed value of one config key's raw text; errors name the key."""
-    row = _KEYS.get(key)
-    if row is None:
+    """The typed value of one config key's raw text, by its field's
+    annotation (int, float, str, Optional[int] or an Enum); errors name the key."""
+    if key not in _FIELDS:
         raise ConfigError(f"unknown key: {key}")
-    return row.parse(key, str(text).strip())
+    hint, text = _FIELDS[key][0], str(text).strip()
+    if hint == Optional[int]:
+        if text.lower() == "none":
+            return None
+        hint = int
+    if hint is str:
+        return text
+    if hint is int or hint is float:
+        try:
+            value = hint(text)
+        except ValueError:
+            expected = "an integer" if hint is int else "a number"
+            raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+        if hint is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+        return value
+    for member in hint:
+        if member.value.lower() == text.lower():
+            return member
+    choices = ", ".join(m.value for m in hint)
+    raise ConfigError(f"{key}: expected one of {{{choices}}}, got {text!r}")
 
 
 # Settings fixed by each named scenario, at their defaults unless a scenario
@@ -330,7 +327,7 @@ _COMMON_PINS = (
 )
 
 
-def _pins(metric, space, kind, mode, **extra):
+def _pins(metric, space, kind, mode, extra=()):
     pins = {key: _DEFAULTS[key] for key in _COMMON_PINS}
     pins.update(
         {
@@ -344,50 +341,7 @@ def _pins(metric, space, kind, mode, **extra):
     return pins
 
 
-_EUC = Metric.EUCLIDEAN
-_GEO = Metric.GEODESIC
-_ANG = GenotypeSpace.ANGLE
-_ARC = GenotypeSpace.ARC_LENGTH
-_POP = SamplingMode.POPULATION_ONLY
-
-SCENARIO_PINS = {
-    Scenario.FIG2A: _pins(_EUC, _ANG, ArchiveKind.NONE, _POP),
-    Scenario.FIG2B: _pins(_EUC, _ARC, ArchiveKind.NONE, _POP),
-    Scenario.FIG2C: _pins(_GEO, _ANG, ArchiveKind.NONE, _POP),
-    Scenario.FIG2D: _pins(_GEO, _ARC, ArchiveKind.NONE, _POP),
-    Scenario.FIG3A: _pins(_EUC, _ANG, ArchiveKind.UNSTRUCTURED_UNBOUNDED, _POP),
-    Scenario.FIG3C: _pins(
-        _EUC, _ANG, ArchiveKind.UNSTRUCTURED_BOUNDED, _POP, **{"archive.max_size": 100}
-    ),
-    Scenario.FIG3E: _pins(
-        _EUC, _ANG, ArchiveKind.UNSTRUCTURED_BOUNDED, _POP, **{"archive.max_size": 50}
-    ),
-    Scenario.FIG3F: _pins(
-        _EUC, _ANG, ArchiveKind.UNSTRUCTURED_BOUNDED, _POP, **{"archive.max_size": 200}
-    ),
-    Scenario.FIG3G: _pins(
-        _EUC, _ANG, ArchiveKind.UNSTRUCTURED_BOUNDED, _POP, **{"archive.max_size": 3000}
-    ),
-    Scenario.FIG3H: _pins(_EUC, _ANG, ArchiveKind.GRID, _POP),
-    Scenario.FIG3I: _pins(
-        _EUC,
-        _ANG,
-        ArchiveKind.UNSTRUCTURED_BOUNDED,
-        SamplingMode.MIXED_RANDOM,
-        **{"archive.max_size": 200},
-    ),
-    # Archive-free baseline holding the evaluation budget of Fig3i fixed:
-    # 1030 + 29 * 1000 = 30 + 30 * 1000 evaluations.
-    Scenario.FIG3J: _pins(
-        _EUC,
-        _ANG,
-        ArchiveKind.NONE,
-        _POP,
-        **{"evolution.pop_size": 1030, "evolution.offspring_size": 29},
-    ),
-    Scenario.FIG3K: _pins(_EUC, _ANG, ArchiveKind.GRID, SamplingMode.MIXED_RANDOM),
-    Scenario.FIG3L: _pins(_EUC, _ANG, ArchiveKind.GRID, SamplingMode.MIXED_GUIDED),
-}
+SCENARIO_PINS = {Scenario(name): _pins(*row) for name, row in _SCENARIOS.items()}
 
 SCENARIO_DEFAULT_RUNS = {Scenario.FIG3J: 5}
 
@@ -413,13 +367,14 @@ def config_from_items(items: dict) -> ExperimentConfig:
         values[key] = parsed
 
     sections = {section: {} for section in _SECTIONS}
-    for row in CONFIG_KEYS:
-        section, _, name = row.path.rpartition(".")
-        sections[section][name] = values[row.key]
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        sections[section][name] = value
     config = ExperimentConfig(
         **sections[""],
         spiral=_keyed("spiral", SpiralParams, **sections["spiral"]),
         evolution=EvolutionConfig(**sections["evolution"]),
+        archive=ArchiveConfig(**sections["archive"]),
         sampling=_keyed("sampling", SamplingStrategy, **sections["sampling"]),
     )
     config.validate()
@@ -466,7 +421,7 @@ def _fmt(value) -> str:
 
 def effective_config_items(config: ExperimentConfig) -> list:
     """Every effective setting as (key, string) pairs, defaults included."""
-    return [(row.key, _fmt(attrgetter(row.path)(config))) for row in CONFIG_KEYS]
+    return [(row.key, _fmt(attrgetter(row.key)(config))) for row in CONFIG_KEYS]
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +461,13 @@ class BatchResult:
 
 
 def _build_archive(config: ExperimentConfig):
-    kind = config.archive_kind
-    if kind is ArchiveKind.NONE:
+    archive = config.archive
+    if archive.kind is ArchiveKind.NONE:
         return None
-    if kind is ArchiveKind.GRID:
-        return GridArchive(config.spiral, config.grid_resolution, config.grid_epsilon)
+    if archive.kind is ArchiveKind.GRID:
+        return GridArchive(config.spiral, archive.resolution, archive.epsilon)
     # A validated config holds a max_size only for a bounded archive.
-    return UnstructuredArchive(config.archive_max_size, config.additions_per_generation)
+    return UnstructuredArchive(archive.max_size, archive.additions_per_generation)
 
 
 def run_single(config: ExperimentConfig, run_index: int = 0) -> RunTelemetry:
@@ -602,7 +557,7 @@ def _header_lines(config: ExperimentConfig, extra=()) -> list:
 def _write_csv(path, header_lines, columns, rows):
     # Through the csv module: summary and analysis cells include user paths,
     # which may need quoting.
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8", errors="surrogateescape") as fh:
         for line in header_lines:
             fh.write(line + "\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -633,7 +588,7 @@ def _write_table(config: ExperimentConfig, tel: RunTelemetry, table: np.ndarray,
     # joined row by row and written in one call.
     extra = [("run_index", str(tel.run_index)), ("seed", str(tel.seed))]
     lines = [*_header_lines(config, extra), ",".join(table.dtype.names)]
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write("\n".join(lines) + "\n")
         for i in range(0, len(table), BLOCK_ROWS):
             block = table[i : i + BLOCK_ROWS]
@@ -780,15 +735,18 @@ def _read_columns(path, dtype, kind):
     """
     header = {}
     lineno = 1
-    with open(path, newline="") as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            key, sep, value = line[1:].strip().partition(" = ")
-            if sep:
-                header[key.strip()] = value.strip()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
             line = fh.readline()
-            lineno += 1
-        body = fh.read()
+            while line.startswith("#"):
+                key, sep, value = line[1:].strip().partition(" = ")
+                if sep:
+                    header[key.strip()] = value.strip()
+                line = fh.readline()
+                lineno += 1
+            body = fh.read()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     if not line:
         raise ValueError(f"{path}: no CSV rows found")
     columns = next(csv.reader([line]))

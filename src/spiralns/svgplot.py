@@ -78,5 +78,5 @@ def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str
 
 def emit_svg(ts, params: SpiralParams, init_t0: float, path: str, header_items=()):
     document = render_svg(ts, params, init_t0, header_items)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write(document)

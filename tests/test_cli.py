@@ -28,10 +28,11 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def run_python(args, **kwargs):
-    """Run a fresh interpreter that imports this checkout's package."""
+def run_python(args, env=(), **kwargs):
+    """Run a fresh interpreter that imports this checkout's package, with
+    the given variables added to the environment."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
+    env = {**os.environ, **dict(env)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
@@ -170,6 +171,41 @@ class TestBatch:
         assert code == 2
         assert stderr == f"error: output_dir: cannot make {out!r}: {reason}\n"
         assert afile.read_text() == "x\n"
+
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    def test_output_dir_with_a_line_break_exits_2(self, brk, tmp_path, capsys):
+        # Each artifact's header holds output_dir on one line, which the readers split on.
+        out = str(tmp_path / f"nl{brk}out")
+        code, _, stderr = run_cli(["batch", "--runs", "1", "--g-max", "5", "--out", out], capsys)
+        assert code == 2
+        assert stderr == f"error: output_dir must not hold a line break, got {out!r}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_files_are_utf8_under_any_locale(self, tmp_path):
+        # An ASCII locale decodes the non-ASCII --out with surrogate escapes;
+        # the files are still UTF-8 and name the directory in the bytes given.
+        ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        files = {}
+        for name, env in (("c", ascii_locale), ("utf8", {"PYTHONUTF8": "1"})):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            for args in (["batch", "--g-max", "25", "--runs", "2", "--out", "résumé_x"],
+                         ["analyze", "résumé_x", "--out", "résumé_x/analysis.csv"],
+                         ["plot", "résumé_x", "--out", "résumé_x/panel.svg"]):
+                done = run_python(["-m", "spiralns.cli", *args], env=env, cwd=cwd)
+                assert (done.returncode, done.stderr) == (0, "")
+            files[name] = {p.name: p.read_bytes() for p in (cwd / "résumé_x").iterdir()}
+        assert len(files["c"]) == 8 and files["c"] == files["utf8"]
+        assert b"# output_dir = r\xc3\xa9sum\xc3\xa9_x\n" in files["c"]["summary.csv"]
+
+    def test_config_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"runs = 1\n# \xff\n")
+        out = tmp_path / "o"
+        code, _, stderr = run_cli(["batch", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xff ")
+        assert not out.exists()
 
     def test_bad_key_value_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -380,6 +416,15 @@ class TestAnalyze:
         assert "'x'" in stderr
 
 
+    def test_file_that_is_not_utf8_names_the_file(self, batch_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_telemetry.csv"
+        bad.write_bytes(b"\xff" + (batch_dir / "run_000_telemetry.csv").read_bytes())
+        out = tmp_path / "a.csv"
+        code, _, stderr = run_cli(["analyze", str(tmp_path), "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
     def test_non_finite_or_overflowing_history_names_file_and_column(
         self, batch_dir, tmp_path, capsys, value
@@ -444,6 +489,14 @@ class TestPlot:
         code, _, stderr = run_cli(["plot", str(bad), "--out", str(tmp_path / "p.svg")], capsys)
         assert code == 2
         assert stderr == f"error: {bad}: line 40: expected 5 cells, found 6\n"
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_file_that_is_not_utf8_names_the_file(self, batch_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_lineage.csv"
+        bad.write_bytes((batch_dir / "run_000_lineage.csv").read_bytes() + b"1,2,3,4.0,5\xe9\n")
+        code, _, stderr = run_cli(["plot", str(bad), "--out", str(tmp_path / "p.svg")], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9 ")
         assert not (tmp_path / "p.svg").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1.0", "94.5"])

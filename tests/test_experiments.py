@@ -43,6 +43,7 @@ from spiralns.experiments import (
     TELEMETRY_DTYPE,
     _build_archive,
     config_from_items,
+    parse_value,
     read_lineage,
     read_telemetry,
     summary_rows,
@@ -85,12 +86,12 @@ class TestParseConfig:
         assert (evo.pop_size, evo.offspring_size, evo.k) == (30, 30, 10)
         assert evo.sigma == 0.3 and evo.g_max == 1000
         assert cfg.runs == 20
-        assert cfg.archive_kind is ArchiveKind.NONE
+        assert cfg.archive.kind is ArchiveKind.NONE
 
     def test_fig3g_pins_bounded_archive(self):
         cfg = parse_config("scenario = Fig3g\n")
-        assert cfg.archive_kind is ArchiveKind.UNSTRUCTURED_BOUNDED
-        assert cfg.archive_max_size == 3000
+        assert cfg.archive.kind is ArchiveKind.UNSTRUCTURED_BOUNDED
+        assert cfg.archive.max_size == 3000
         assert cfg.evolution.metric is Metric.EUCLIDEAN
         assert cfg.evolution.genotype_space is GenotypeSpace.ANGLE
 
@@ -98,14 +99,14 @@ class TestParseConfig:
         ci = parse_config("scenario = Fig3i\n")
         cj = parse_config("scenario = Fig3j\n")
         assert evaluation_count(cj) == evaluation_count(ci)
-        assert cj.archive_kind is ArchiveKind.NONE
+        assert cj.archive.kind is ArchiveKind.NONE
         assert cj.runs == 5
         assert cj.evolution.pop_size > ci.evolution.pop_size
 
     def test_fig3i_uses_archive_resampling(self):
         cfg = parse_config("scenario = Fig3i\n")
-        assert cfg.archive_kind is ArchiveKind.UNSTRUCTURED_BOUNDED
-        assert cfg.archive_max_size == 200
+        assert cfg.archive.kind is ArchiveKind.UNSTRUCTURED_BOUNDED
+        assert cfg.archive.max_size == 200
         assert cfg.sampling.mode is SamplingMode.MIXED_RANDOM
 
     def test_grid_scenarios(self):
@@ -115,7 +116,7 @@ class TestParseConfig:
             ("Fig3l", SamplingMode.MIXED_GUIDED),
         ):
             cfg = parse_config(f"scenario = {name}\n")
-            assert cfg.archive_kind is ArchiveKind.GRID
+            assert cfg.archive.kind is ArchiveKind.GRID
             assert cfg.sampling.mode is mode
 
     def test_negative_sigma_names_the_key(self):
@@ -221,7 +222,7 @@ def test_enum_key_help_names_exactly_the_enum_values():
     checked = []
     for row in CONFIG_KEYS:
         try:
-            row.parse(row.key, "?")
+            parse_value(row.key, "?")
         except ConfigError as e:
             match = re.search(r"expected one of \{(.*)\}", str(e))
         else:
