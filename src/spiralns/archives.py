@@ -141,13 +141,10 @@ class _Archive(_Store):
 
     def __init__(self):
         super().__init__((N_ROWS,))
-        # Novelty scoring keeps an index over the columns [0, settled) in
-        # `index` (see evolution).  `stale` holds the settled columns whose
-        # coordinates were overwritten since; columns past `settled` were
-        # appended since.  A delete shifts columns, so it drops the index.
+        # Novelty scoring's k-d tree (see evolution) and, per tree point, the
+        # column it stands for: -1 once that column was overwritten or deleted.
         self.index = None
-        self.settled = 0
-        self.stale = set()
+        self.tree_columns = np.empty(0, np.intp)
 
     def columns(self) -> np.ndarray:
         """Read-only (N_ROWS, len) view of the entries, one per column."""
@@ -158,13 +155,13 @@ class _Archive(_Store):
     def _put(self, i: int, col: np.ndarray):
         """Overwrite column i with col (shape (N_ROWS,))."""
         self._data[:, i] = col
-        if i < self.settled:
-            self.stale.add(i)
+        self.tree_columns[self.tree_columns == i] = -1
 
     def _delete(self, i: int):
         self._data[:, i : self._n - 1] = self._data[:, i + 1 : self._n]
         self._n -= 1
-        self.index, self.settled, self.stale = None, 0, set()
+        self.tree_columns[self.tree_columns == i] = -1
+        self.tree_columns[self.tree_columns > i] -= 1
 
 
 class UnstructuredArchive(_Archive):

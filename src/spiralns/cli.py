@@ -46,7 +46,7 @@ def _collect_items(args) -> dict:
     items = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except UnicodeDecodeError as e:
             raise ConfigError(f"{args.config}: {e}") from None

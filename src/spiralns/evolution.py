@@ -206,13 +206,12 @@ def mutate(values: np.ndarray, space: GenotypeSpace, sigma: float, rng, params) 
 # 60-member runs on a 2-CPU x86-64 host.  With the archive's tree kept across
 # generations, the tree wins from about 300 candidates (euclidean) and from
 # about 800 (geodesic, whose dense distances skip the square root).  A tree
-# rebuilt every generation, as on a bounded archive, ties near 360
-# (euclidean) and 560 (geodesic).
+# rebuilt every generation ties near 360 (euclidean) and 560 (geodesic).
 TREE_CROSSOVER = 400
 
-# Archive entries appended or overwritten since the archive's k-d tree was
-# built, past which the tree is built again.  Until then they are scored
-# densely, with the pool.
+# Archive columns not held by a live point of the archive's k-d tree
+# (appended or overwritten since the build), past which the tree is built
+# again.  Until then they are scored densely, with the pool.
 _REBUILD_AT = 48
 
 # Relative gap a row's k-th distance must keep below the tree's last returned
@@ -266,19 +265,20 @@ def _kd_tree(points: np.ndarray):
     return cKDTree(points.T, balanced_tree=False, compact_nodes=False, copy_data=True)
 
 
-def _tree_query(tree, points: np.ndarray, subjects: np.ndarray, k_eff: int, metric: Metric):
+def _tree_query(tree, points, subjects, k_eff: int, metric: Metric, columns=None):
     """The tree's k_eff + 2 nearest columns of points to each subject column.
 
-    Returns their dense-formula distances and column indices, and the tree's
-    last returned distance per subject: no point it left out is closer.  That
-    is inf when the tree returned every point.
+    Tree point j stands for column columns[j] of points (column j without a
+    map).  Returns their dense-formula distances and column indices, and the
+    tree's last returned distance per subject: no tree point it left out is
+    closer.  That is inf when the tree returned every point.
     """
-    n, size = subjects.shape[1], points.shape[1]
-    k_query = min(k_eff + 2, size)
+    n, k_query = subjects.shape[1], min(k_eff + 2, tree.n)
     dist, idx = tree.query(subjects.T, k=k_query)
     dist, idx = dist.reshape(n, k_query), idx.reshape(n, k_query)
+    idx = idx if columns is None else columns[idx]
     near = _distance(subjects[:, :, None], points[:, idx], metric)
-    last = dist[:, -1] if k_query < size else np.full(n, np.inf)
+    last = dist[:, -1] if k_query < tree.n else np.full(n, np.inf)
     return near, idx, last
 
 
@@ -306,16 +306,16 @@ def _merged_novelty(
     return scores
 
 
-def _settled_tree(archive, metric: Metric):
-    """The archive's k-d tree over its settled entries.
+def _kept_tree(archive, metric: Metric):
+    """The archive's k-d tree, kept across generations.
 
-    It is built again when a delete dropped it, or when the entries
-    appended or overwritten since the last build pass _REBUILD_AT.
+    It is built again, over every column, when more than _REBUILD_AT
+    columns are not held by a live tree point (see archive.tree_columns).
     """
-    unsettled = len(archive) - archive.settled + len(archive.stale)
-    if archive.index is None or archive.index[0] is not metric or unsettled > _REBUILD_AT:
+    loose = len(archive) - np.count_nonzero(archive.tree_columns >= 0)
+    if archive.index is None or archive.index[0] is not metric or loose > _REBUILD_AT:
         archive.index = (metric, _kd_tree(_coordinates(archive.columns(), metric)))
-        archive.settled, archive.stale = len(archive), set()
+        archive.tree_columns = np.arange(len(archive))
     return archive.index[1]
 
 
@@ -324,12 +324,12 @@ def _novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
     excluding itself.
 
     Up to TREE_CROSSOVER candidates the distances fill a dense matrix.  Past
-    it, a pool of at most TREE_CROSSOVER is scored against the archive's
-    settled entries through a k-d tree kept across generations, and densely
-    against itself, the entries appended since the tree was built and the
-    current occupants of overwritten (stale) slots; the tree's candidates in
-    stale slots are dropped.  A larger pool queries one tree over all the
-    candidates.  Every path gives bit-identical scores.
+    it, a pool of at most TREE_CROSSOVER is scored against the archive
+    through a k-d tree kept across generations, and densely against itself
+    and the archive columns no live tree point holds; the tree's points
+    whose column was overwritten or deleted are dropped.  A larger pool
+    queries one tree over all the candidates.  Every path gives
+    bit-identical scores.
     """
     subjects = _coordinates(pool, metric)
     coords = _coordinates(_NO_ENTRIES if archive is None else archive.columns(), metric)
@@ -345,18 +345,15 @@ def _novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
         near[idx == np.arange(n_pool)[:, None]] = np.inf  # no subject is its own neighbor
         return _merged_novelty(near, last, k_eff, metric, points)
 
-    tree = _settled_tree(archive, metric)
-    settled = archive.settled
-    stale = np.fromiter(archive.stale, np.intp, len(archive.stale))
-
-    others = np.concatenate((subjects, coords[:, settled:], coords[:, stale]), axis=1)
+    tree = _kept_tree(archive, metric)
+    columns = archive.tree_columns
+    loose = np.ones(coords.shape[1] + 1, dtype=bool)
+    loose[columns] = False  # a dead point's -1 lands on the spare last entry
+    others = np.concatenate((subjects, coords.compress(loose[:-1], axis=1)), axis=1)
     dense = _distance(subjects[:, :, None], others[:, None, :], metric)
     dense[np.arange(n_pool), np.arange(n_pool)] = np.inf
-    near, idx, last = _tree_query(tree, coords[:, :settled], subjects, k_eff, metric)
-    if stale.size:
-        dropped = np.zeros(settled, dtype=bool)
-        dropped[stale] = True
-        near[dropped[idx]] = np.inf
+    near, idx, last = _tree_query(tree, coords, subjects, k_eff, metric, columns)
+    near[idx < 0] = np.inf  # tree points whose column was overwritten or deleted
     near = np.concatenate((dense, near), axis=1)
     return _merged_novelty(near, last, k_eff, metric, subjects, coords)
 

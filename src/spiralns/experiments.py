@@ -736,7 +736,7 @@ def _read_columns(path, dtype, kind):
     header = {}
     lineno = 1
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             line = fh.readline()
             while line.startswith("#"):
                 key, sep, value = line[1:].strip().partition(" = ")

@@ -8,6 +8,7 @@ counts are capped so that panels stay a manageable size.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -20,6 +21,7 @@ MARGIN = 30
 MAX_DOTS = 20000
 CURVE_STEP = 0.02  # curve parameter increment between polyline vertices
 MAX_VERTICES = 20000  # of the polyline; from t_max ~ 400 on they spread out
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")  # chars XML 1.0 forbids
 
 
 # One dot of the behaviors; "%.2f" formats as f"{x:.2f}" does.
@@ -48,7 +50,8 @@ def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str
         f'viewBox="0 0 {SIZE} {SIZE}">',
     ]
     for key, value in header_items:
-        text = f"{key} = {value}".replace("--", "- -")
+        # Forbidden characters become "?"; "--" may not occur in a comment.
+        text = re.sub("-(?=-)", "- ", _NOT_XML.sub("?", f"{key} = {value}"))
         parts.append(f"<!-- {text} -->")
     parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
 

@@ -180,6 +180,19 @@ def _projected(ts: np.ndarray, params: SpiralParams) -> tuple:
     return px.tolist(), py.tolist()
 
 
+def _comment_text(text: str) -> str:
+    """Header text as an XML comment may hold it, one character at a time:
+    "?" for each character XML 1.0 forbids, a space after each "-" that
+    another "-" follows."""
+    forbidden = {*map(chr, range(32))} - {"\t", "\n", "\r"} | {"\ufffe", "\uffff"}
+    out = []
+    for char, following in zip(text, text[1:] + " "):
+        out.append("?" if char in forbidden else char)
+        if char == "-" and following == "-":
+            out.append(" ")
+    return "".join(out)
+
+
 def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str:
     """The SVG panel built point by point, one f-string each."""
     parts = [
@@ -188,7 +201,7 @@ def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str
         f'viewBox="0 0 {SIZE} {SIZE}">',
     ]
     for key, value in header_items:
-        text = f"{key} = {value}".replace("--", "- -")
+        text = _comment_text(f"{key} = {value}")
         parts.append(f"<!-- {text} -->")
     parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,19 @@ class TestBatch:
         assert code == 2
         assert stderr.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xff ")
         assert not out.exists()
+
+    def test_config_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        text = b"evolution.g_max = 25\nruns = 2\n"
+        out = tmp_path / "o"
+        seen = []
+        for data in (text, b"\xef\xbb\xbf" + text):
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_bytes(data)
+            code, stdout, stderr = run_cli(["batch", "--config", str(cfg), "--out", str(out)],
+                                           capsys)
+            assert (code, stderr) == (0, "")
+            seen.append((stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert len(seen[1][1]) == 6 and seen[1] == seen[0]
 
     def test_bad_key_value_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -425,6 +439,18 @@ class TestAnalyze:
         assert stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff ")
         assert not out.exists()
 
+    def test_file_with_a_byte_order_mark(self, batch_dir, tmp_path, capsys):
+        plain = batch_dir / "run_000_telemetry.csv"
+        bom = tmp_path / plain.name
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        tables = []
+        for path, out in ((plain, tmp_path / "a.csv"), (bom, tmp_path / "b.csv")):
+            code, _, stderr = run_cli(["analyze", str(path), "--out", str(out)], capsys)
+            assert (code, stderr) == (0, "")
+            # Every cell after the first, which names the file.
+            tables.append([line.split(",", 1)[-1] for line in out.read_text().splitlines()])
+        assert len(tables[1]) == 3 and tables[1] == tables[0]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
     def test_non_finite_or_overflowing_history_names_file_and_column(
         self, batch_dir, tmp_path, capsys, value
@@ -490,6 +516,15 @@ class TestPlot:
         assert code == 2
         assert stderr == f"error: {bad}: line 40: expected 5 cells, found 6\n"
         assert not (tmp_path / "p.svg").exists()
+
+    def test_header_note_with_dashes_gives_well_formed_svg(self, batch_dir, tmp_path, capsys):
+        # plot copies every header line of the file into the panel.
+        noted = tmp_path / "run_000_lineage.csv"
+        noted.write_text("# note = x---y\n" + (batch_dir / noted.name).read_text())
+        out = tmp_path / "p.svg"
+        assert run_cli(["plot", str(noted), "--out", str(out)], capsys)[0] == 0
+        ElementTree.parse(out)
+        assert "<!-- note = x- - -y -->" in out.read_text()
 
     def test_file_that_is_not_utf8_names_the_file(self, batch_dir, tmp_path, capsys):
         bad = tmp_path / "bad_lineage.csv"

@@ -398,14 +398,15 @@ class TestArchiveIndex:
             elif op == "retake":
                 slot = int(r.integers(len(archive)))
                 archive._put(slot, spiral_columns([center + r.normal()])[:, 0])
-            elif op == "retake_tail" and archive.settled < len(archive):
-                slot = int(r.integers(archive.settled, len(archive)))
+            elif op == "retake_tail" and archive.tree_columns.max(initial=-1) + 1 < len(archive):
+                slot = int(r.integers(archive.tree_columns.max(initial=-1) + 1, len(archive)))
+                columns = archive.tree_columns.copy()
                 archive._put(slot, spiral_columns([center + r.normal()])[:, 0])
-                assert slot not in archive.stale
+                assert np.array_equal(archive.tree_columns, columns)
             elif op == "etas":
-                stale = set(archive.stale)
+                columns = archive.tree_columns.copy()
                 archive._data[ETA, r.integers(len(archive), size=5)] = r.random(5)
-                assert archive.stale == stale
+                assert np.array_equal(archive.tree_columns, columns)
             elif op == "evict":
                 archive._delete(int(r.integers(len(archive))))
             pool = spiral_columns(center + r.normal(0.0, 1.0, 60))
@@ -462,20 +463,26 @@ class TestArchiveIndex:
             # work for the next build.
             archive._put(len(archive) - 1, spiral_columns(rng.uniform(0.0, PARAMS.t_max, 1))[:, 0])
             archive._data[ETA, :5] = 1.0
-            assert not archive.stale
+            assert (archive.tree_columns >= 0).all()
             _novelty(pool, archive, 10, Metric.EUCLIDEAN)
         assert len(builds) == 1 + appends // (evolution._REBUILD_AT + 1)
 
-    def test_an_eviction_drops_the_index(self):
+    def test_an_eviction_keeps_the_index(self):
         rng = np.random.default_rng(45)
         archive = column_archive(spiral_columns(rng.uniform(0.0, PARAMS.t_max, TREE_CROSSOVER)))
         pool = spiral_columns(rng.uniform(0.0, PARAMS.t_max, 60))
         _novelty(pool, archive, 10, Metric.EUCLIDEAN)
+        index = archive.index
         archive._put(3, archive.columns()[:, 4].copy())
-        assert archive.index is not None and archive.stale == {3}
+        assert archive.index is index and archive.tree_columns[3] == -1
         archive._delete(0)
-        assert archive.index is None and archive.settled == 0 and not archive.stale
+        # Tree points 0 (deleted) and 3 (overwritten) are dead; the points
+        # after 0 stand for the column before their own.
+        columns = np.arange(-1, TREE_CROSSOVER - 1)
+        columns[[0, 3]] = -1
+        assert archive.index is index and np.array_equal(archive.tree_columns, columns)
         assert_bit_equal(pool, archive, 10, Metric.EUCLIDEAN)
+        assert archive.index is index
 
 
 class TestScoringPaths:
@@ -515,14 +522,14 @@ class TestScoringPaths:
             axis=1,
         )
         taken = []
-        for name in ("_settled_tree", "_kd_tree"):
+        for name in ("_kept_tree", "_kd_tree"):
             real = getattr(evolution, name)
             monkeypatch.setattr(
                 evolution, name, lambda *a, _name=name, _real=real: taken.append(_name) or _real(*a)
             )
         assert_bit_equal(pool, archive, k, metric)
         # A fresh archive builds its kept tree on the first call.
-        assert taken == {"dense": [], "kept_tree": ["_settled_tree", "_kd_tree"],
+        assert taken == {"dense": [], "kept_tree": ["_kept_tree", "_kd_tree"],
                          "one_tree": ["_kd_tree"]}[path]
 
     @pytest.mark.parametrize(
@@ -550,6 +557,21 @@ class TestScoringPaths:
              "base_seed": str(seed)}
         ))
         assert sum(taken) == rows
+
+    def test_kept_tree_builds_over_a_bounded_run(self, monkeypatch):
+        # Fig3g's settings: from generation 500 each generation evicts 6 of
+        # 3,000 entries.  The tree survives the evictions, so it is built as
+        # often as on an unbounded archive (105 times), not once per
+        # generation from then on (549 when a delete dropped it).
+        builds = []
+        build = evolution._kd_tree
+        monkeypatch.setattr(evolution, "_kd_tree", lambda p: builds.append(p) or build(p))
+        run_single(config_from_items(
+            {"scenario": "Custom", "archive.kind": "unstructured_bounded",
+             "archive.max_size": "3000", "evolution.g_max": "1000", "runs": "1",
+             "base_seed": "0"}
+        ))
+        assert len(builds) == 105
 
 
 class TestStepGeneration:

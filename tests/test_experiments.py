@@ -5,6 +5,7 @@ import os
 import re
 import warnings
 from dataclasses import replace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -785,6 +786,14 @@ class TestSvg:
     def test_header_comments_cannot_break_the_document(self):
         doc = render_svg([], PARAMS, 0.0, [("output_dir", "runs--today")])
         assert "--" not in doc.split("<!--", 1)[1].split("-->", 1)[0]
+
+    @pytest.mark.parametrize(
+        "value, shown", [("a---b", "a- - -b"), ("a\x01b", "a?b"), ("a\ufffeb\x0c", "a?b?")]
+    )
+    def test_header_comments_are_well_formed_xml(self, value, shown):
+        doc = render_svg([], PARAMS, 0.0, [("output_dir", value)])
+        ElementTree.fromstring(doc)
+        assert f"<!-- output_dir = {shown} -->" in doc
 
 
 @pytest.mark.parametrize(
