@@ -231,11 +231,11 @@ def _distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
     Points are columns of the metric's coordinate rows: arc_pos alone for
     geodesic, x and y for Euclidean.
     """
+    d = a - b
     if metric is Metric.GEODESIC:
-        return np.abs(a[0] - b[0])
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return np.sqrt(dx * dx + dy * dy)
+        return np.abs(d[0])
+    d *= d  # squared in place: the bits of dx * dx + dy * dy, with fewer temporaries
+    return np.sqrt(d[0] + d[1])
 
 
 def _mean_ascending(nearest: np.ndarray) -> np.ndarray:
@@ -265,47 +265,6 @@ def _kd_tree(points: np.ndarray):
     return cKDTree(points.T, balanced_tree=False, compact_nodes=False, copy_data=True)
 
 
-def _tree_query(tree, points, subjects, k_eff: int, metric: Metric, columns=None):
-    """The tree's k_eff + 2 nearest columns of points to each subject column.
-
-    Tree point j stands for column columns[j] of points (column j without a
-    map).  Returns their dense-formula distances and column indices, and the
-    tree's last returned distance per subject: no tree point it left out is
-    closer.  That is inf when the tree returned every point.
-    """
-    n, k_query = subjects.shape[1], min(k_eff + 2, tree.n)
-    dist, idx = tree.query(subjects.T, k=k_query)
-    dist, idx = dist.reshape(n, k_query), idx.reshape(n, k_query)
-    idx = idx if columns is None else columns[idx]
-    near = _distance(subjects[:, :, None], points[:, idx], metric)
-    last = dist[:, -1] if k_query < tree.n else np.full(n, np.inf)
-    return near, idx, last
-
-
-def _merged_novelty(
-    near: np.ndarray, last: np.ndarray, k_eff: int, metric: Metric, *points: np.ndarray
-) -> np.ndarray:
-    """Scores of the first len(near) columns of the points (the concatenated
-    parts) from their candidates.
-
-    Each row of near holds dense-formula distances to a subject's tree
-    candidates and to the points scored outside the tree, with excluded
-    candidates at inf.  A row is trusted when its k-th distance lies clearly
-    inside the tree's last returned distance: every point the tree left out
-    is then farther than the k-th and cannot change the sum.  Other rows
-    take the dense routine, so every score is bit-identical to the dense
-    path's.
-    """
-    nearest = np.partition(near, k_eff - 1, axis=1)[:, :k_eff]
-    nearest.sort(axis=1)
-    scores = _mean_ascending(nearest)
-    untrusted = np.flatnonzero(~(nearest[:, -1] < last * (1.0 - _TIE_MARGIN)))
-    if untrusted.size:
-        points = np.concatenate(points, axis=1)
-        scores[untrusted] = _dense_novelty(points, untrusted, k_eff, metric)
-    return scores
-
-
 def _kept_tree(archive, metric: Metric):
     """The archive's k-d tree, kept across generations.
 
@@ -320,42 +279,57 @@ def _kept_tree(archive, metric: Metric):
 
 
 def _novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
-    """Score every pool column against pool + archive (None for none),
-    excluding itself.
+    """Score each pool column against the rest of pool + archive (None for none).
 
-    Up to TREE_CROSSOVER candidates the distances fill a dense matrix.  Past
-    it, a pool of at most TREE_CROSSOVER is scored against the archive
-    through a k-d tree kept across generations, and densely against itself
-    and the archive columns no live tree point holds; the tree's points
-    whose column was overwritten or deleted are dropped.  A larger pool
-    queries one tree over all the candidates.  Every path gives
-    bit-identical scores.
+    The candidates are the archive's columns, then the pool's, so pool
+    column r is candidate len(archive) + r.  Up to TREE_CROSSOVER candidates
+    the distances fill a dense matrix.  Past it, each subject is scored
+    against a dense block of candidates plus its k + 2 nearest points of a
+    k-d tree, whose point j stands for candidate columns[j] (-1 for none).
+    A pool of at most TREE_CROSSOVER queries the archive's kept tree, with
+    the pool and the archive columns no live tree point holds as the dense
+    block; a larger pool queries one tree over all the candidates.  A row is
+    trusted when its k-th distance lies clearly inside the tree's last
+    returned distance, so that no point the tree left out can change its
+    sum, or is 0, so that its score is 0 whatever was left out.  Other rows
+    take the dense routine, so every path gives bit-identical scores.
     """
     subjects = _coordinates(pool, metric)
     coords = _coordinates(_NO_ENTRIES if archive is None else archive.columns(), metric)
     n_pool, n = subjects.shape[1], subjects.shape[1] + coords.shape[1]
+    rows = np.arange(n - n_pool, n)  # each subject's own candidate column
     k_eff = min(k, n - 1)
     if k_eff < 1:
         return np.zeros(n_pool)
-    if n <= TREE_CROSSOVER or n_pool > TREE_CROSSOVER:
-        points = np.concatenate((subjects, coords), axis=1)
-        if n <= TREE_CROSSOVER:
-            return _dense_novelty(points, np.arange(n_pool), k_eff, metric)
-        near, idx, last = _tree_query(_kd_tree(points), points, subjects, k_eff, metric)
-        near[idx == np.arange(n_pool)[:, None]] = np.inf  # no subject is its own neighbor
-        return _merged_novelty(near, last, k_eff, metric, points)
-
-    tree = _kept_tree(archive, metric)
-    columns = archive.tree_columns
-    loose = np.ones(coords.shape[1] + 1, dtype=bool)
-    loose[columns] = False  # a dead point's -1 lands on the spare last entry
-    others = np.concatenate((subjects, coords.compress(loose[:-1], axis=1)), axis=1)
-    dense = _distance(subjects[:, :, None], others[:, None, :], metric)
-    dense[np.arange(n_pool), np.arange(n_pool)] = np.inf
-    near, idx, last = _tree_query(tree, coords, subjects, k_eff, metric, columns)
-    near[idx < 0] = np.inf  # tree points whose column was overwritten or deleted
-    near = np.concatenate((dense, near), axis=1)
-    return _merged_novelty(near, last, k_eff, metric, subjects, coords)
+    if n <= TREE_CROSSOVER:
+        return _dense_novelty(np.concatenate((coords, subjects), axis=1), rows, k_eff, metric)
+    if n_pool > TREE_CROSSOVER:
+        points = np.concatenate((coords, subjects), axis=1)
+        tree, columns, dense, others = _kd_tree(points), np.arange(n), rows[:0], subjects[:, :0]
+    else:
+        points, tree, columns = coords, _kept_tree(archive, metric), archive.tree_columns
+        loose = np.ones(n - n_pool + 1, dtype=bool)
+        loose[columns] = False  # a dead point's -1 lands on the spare last entry
+        dense = np.concatenate((np.flatnonzero(loose[:-1]), rows))
+        others = np.concatenate((coords.take(dense[:-n_pool], axis=1), subjects), axis=1)
+    k_query = min(k_eff + 2, tree.n)
+    dist, found = tree.query(subjects.T, k=k_query)
+    found = columns[found.reshape(n_pool, k_query)]
+    near = np.concatenate((_distance(subjects[:, :, None], others[:, None, :], metric),
+                           _distance(subjects[:, :, None], points.take(found, axis=1), metric)),
+                          axis=1)
+    idx = np.concatenate((dense[None].repeat(n_pool, axis=0), found), axis=1)
+    near[(idx < 0) | (idx == rows[:, None])] = np.inf
+    nearest = np.partition(near, k_eff - 1, axis=1)[:, :k_eff]
+    nearest.sort(axis=1)
+    scores = _mean_ascending(nearest)
+    last = dist.reshape(n_pool, k_query)[:, -1] if k_query < tree.n else np.inf
+    kth = nearest[:, -1]
+    untrusted = np.flatnonzero(~((kth < last * (1.0 - _TIE_MARGIN)) | (kth == 0.0)))
+    if untrusted.size:
+        points = np.concatenate((coords, subjects), axis=1)
+        scores[untrusted] = _dense_novelty(points, rows[untrusted], k_eff, metric)
+    return scores
 
 
 def step_generation(

@@ -1,6 +1,9 @@
 """Evolution loop: initialization, mutation, novelty scoring, selection."""
 
 import math
+import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +23,9 @@ from spiralns import (
     step_generation,
 )
 from spiralns import evolution
-from spiralns.archives import ETA, N_ROWS, Individual
+from spiralns.archives import ARC, ETA, N_ROWS, X, Y, Individual
 from spiralns.evolution import TREE_CROSSOVER, _novelty
-from spiralns.experiments import config_from_items, run_single
+from spiralns.experiments import ArchiveKind, config_from_items, run_single
 from spiralns.spiral import BehaviorPoint, Genotype
 
 from helpers import append_columns, column_archive, to_columns, unstructured_archive
@@ -347,6 +350,18 @@ def spiral_columns(ts) -> np.ndarray:
     return cols
 
 
+def tie_columns(n_ties: int, d: float = 2.0**-6) -> np.ndarray:
+    """A subject far off the spiral, then n_ties points at distance exactly
+    d > 0 from it in both metrics: coincident copies on either side of it,
+    half each way (rows as in `archives`)."""
+    cols = np.zeros((N_ROWS, 1 + n_ties))
+    cols[[X, Y, ARC]] = [[4.0], [4.0], [1024.0]]
+    side = np.where(np.arange(n_ties) % 2, -d, d)
+    cols[X, 1:] += side
+    cols[ARC, 1:] += side
+    return cols
+
+
 def dense_scores(pool, archive, k, metric):
     """The dense routine over pool + archive (None for none): the oracle
     every scoring path must equal."""
@@ -367,6 +382,38 @@ ARCHIVE_OPS = st.tuples(
     st.sampled_from(["append", "append_copies", "retake", "retake_tail", "etas", "evict"]),
     st.integers(0, 2**32 - 1),
 )
+
+
+@st.composite
+def small_runs(draw) -> dict:
+    """Raw items of a small Custom run: any metric, genotype space, archive
+    kind and the sampling modes it allows, with tiny sizes."""
+    kind = draw(st.sampled_from(list(ArchiveKind)))
+    # Archive draws need an archive, and guided draws a grid.
+    modes = [SamplingMode.POPULATION_ONLY]
+    if kind is not ArchiveKind.NONE:
+        modes.append(SamplingMode.MIXED_RANDOM)
+    if kind is ArchiveKind.GRID:
+        modes.append(SamplingMode.MIXED_GUIDED)
+    items = {
+        "scenario": "Custom",
+        "runs": 1,
+        "base_seed": draw(st.integers(0, 2**16)),
+        "evolution.metric": draw(st.sampled_from(list(Metric))).value,
+        "evolution.genotype_space": draw(st.sampled_from(list(GenotypeSpace))).value,
+        "evolution.pop_size": draw(st.integers(1, 15)),
+        "evolution.offspring_size": draw(st.integers(1, 15)),
+        "evolution.k": draw(st.integers(1, 15)),
+        "evolution.g_max": draw(st.integers(1, 30)),
+        "archive.kind": kind.value,
+        "archive.additions_per_generation": draw(st.integers(1, 6)),
+        "archive.resolution": draw(st.integers(1, 40)),
+        "archive.epsilon": draw(st.sampled_from([0.0, 0.05, 0.5])),
+        "sampling.mode": draw(st.sampled_from(modes)).value,
+    }
+    if kind is ArchiveKind.UNSTRUCTURED_BOUNDED:
+        items["archive.max_size"] = draw(st.integers(1, 40))
+    return {key: str(value) for key, value in items.items()}
 
 
 class TestArchiveIndex:
@@ -433,14 +480,16 @@ class TestArchiveIndex:
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_coincident_archive_copies_take_the_dense_fallback(self, metric, monkeypatch):
-        # Forty archive copies of a pool member: the tree returns k + 2 of
-        # them, all at distance 0, so its last distance ties the k-th.
+        # Twelve archive copies at distance d > 0 from a pool member, six on
+        # either side of it: the tree returns all k + 2, so its last distance
+        # ties the k-th, which is not 0.
         rng = np.random.default_rng(43)
         ts = np.linspace(60.0, 80.0, 60)
         far = spiral_columns(rng.uniform(0.0, 10.0, TREE_CROSSOVER))
-        copies = spiral_columns(np.full(40, ts[30]))
-        archive = column_archive(np.concatenate((far, copies), axis=1))
+        ties = tie_columns(12)
+        archive = column_archive(np.concatenate((far, ties[:, 1:]), axis=1))
         pool = spiral_columns(ts)
+        pool[:, 30] = ties[:, 0]
         calls = []
         dense = evolution._dense_novelty
         monkeypatch.setattr(
@@ -494,43 +543,53 @@ class TestScoringPaths:
     @pytest.mark.parametrize("metric", list(Metric))
     @pytest.mark.parametrize("k", [1, 10])
     @pytest.mark.parametrize(
-        "n_pool, n_arch, path",
+        "n_pool, n_arch, path, falls_back",
         [
-            (60, None, "dense"),
-            (60, TREE_CROSSOVER - 60, "dense"),
-            (TREE_CROSSOVER, None, "dense"),
-            (60, TREE_CROSSOVER - 59, "kept_tree"),
-            (TREE_CROSSOVER, 1, "kept_tree"),
-            (TREE_CROSSOVER + 1, None, "one_tree"),
-            (1059, None, "one_tree"),  # Fig3j's pool
-            (1059, 500, "one_tree"),
+            (60, None, "dense", False),
+            (60, TREE_CROSSOVER - 60, "dense", False),
+            (TREE_CROSSOVER, None, "dense", False),
+            (60, TREE_CROSSOVER - 59, "kept_tree", True),
+            (TREE_CROSSOVER, 1, "kept_tree", False),  # a one-point tree returns it all
+            (TREE_CROSSOVER + 1, None, "one_tree", True),
+            (1059, None, "one_tree", True),  # Fig3j's pool
+            (1059, 500, "one_tree", True),
         ],
     )
     def test_each_path_equals_the_dense_routine(
-        self, n_pool, n_arch, path, k, metric, monkeypatch
+        self, n_pool, n_arch, path, falls_back, k, metric, monkeypatch
     ):
         rng = np.random.default_rng(n_pool + (n_arch or 0))
+        # A subject and k + 2 points at distance d > 0 from it: they tie at
+        # the tree's last neighbor when the tree holds them (in the archive if
+        # it has room, else in the pool), so the dense fallback runs.
+        ties = tie_columns(k + 2)
+        in_archive = (n_arch or 0) > k + 2
+        pool_ties = ties[:, :1] if in_archive else ties
         archive = None
         if n_arch is not None:
-            archive = column_archive(spiral_columns(rng.uniform(0.0, PARAMS.t_max, n_arch)))
-        # Thirty generation-zero clones tie at the one tree's last neighbor,
-        # so its dense fallback runs too.
+            entries = spiral_columns(rng.uniform(0.0, PARAMS.t_max, n_arch))
+            if in_archive:
+                entries[:, : k + 2] = ties[:, 1:]
+            archive = column_archive(entries)
+        # Thirty generation-zero clones: each one's k-th distance is 0.
         t0 = 28 * math.pi
         pool = np.concatenate(
-            (spiral_columns(np.full(30, t0)),
-             spiral_columns(t0 + rng.normal(0.0, 3.0, n_pool - 30))),
+            (spiral_columns(np.full(30, t0)), pool_ties,
+             spiral_columns(t0 + rng.normal(0.0, 3.0, n_pool - 30 - pool_ties.shape[1]))),
             axis=1,
         )
         taken = []
-        for name in ("_kept_tree", "_kd_tree"):
+        for name in ("_kept_tree", "_kd_tree", "_dense_novelty"):
             real = getattr(evolution, name)
             monkeypatch.setattr(
                 evolution, name, lambda *a, _name=name, _real=real: taken.append(_name) or _real(*a)
             )
         assert_bit_equal(pool, archive, k, metric)
-        # A fresh archive builds its kept tree on the first call.
-        assert taken == {"dense": [], "kept_tree": ["_kept_tree", "_kd_tree"],
-                         "one_tree": ["_kd_tree"]}[path]
+        # A fresh archive builds its kept tree on the first call.  The last
+        # _dense_novelty call is the oracle's.
+        scored = {"dense": ["_dense_novelty"], "kept_tree": ["_kept_tree", "_kd_tree"],
+                  "one_tree": ["_kd_tree"]}[path]
+        assert taken == scored + ["_dense_novelty"] * falls_back + ["_dense_novelty"]
 
     @pytest.mark.parametrize(
         "items, g_max, seed, rows",
@@ -558,6 +617,49 @@ class TestScoringPaths:
         ))
         assert sum(taken) == rows
 
+    def test_a_kth_distance_at_the_margin_takes_the_dense_fallback(self, monkeypatch):
+        # Geodesic, k = 1: the tree returns the subject's three nearest
+        # entries, at 1 - _TIE_MARGIN, 1 and 1, so its k-th distance equals
+        # the bound.  Only a k-th distance strictly inside it is trusted; the
+        # score is the same either way, so only the fallback shows it.
+        archive_cols = np.zeros((N_ROWS, TREE_CROSSOVER))
+        archive_cols[ARC] = 5000.0 + np.arange(TREE_CROSSOVER)
+        archive_cols[ARC, :3] = [1.0 - evolution._TIE_MARGIN, 1.0, 1.0]
+        pool = np.zeros((N_ROWS, 60))
+        pool[ARC, 1:] = 2000.0 + np.arange(59)
+        calls = []
+        dense = evolution._dense_novelty
+        monkeypatch.setattr(
+            evolution, "_dense_novelty", lambda p, r, *a: calls.append(len(r)) or dense(p, r, *a)
+        )
+        assert_bit_equal(pool, column_archive(archive_cols), 1, Metric.GEODESIC)
+        assert calls == [1, 60]  # the subject's row, then the oracle's
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_clone_rows_cost_linear_memory(self, metric):
+        # Each clone's k-th distance is 0, so the tree's candidates are
+        # trusted.  A dense row of n distances per clone would peak past
+        # 4,000 x 4,030 x 8 bytes (129 MB).
+        rng = np.random.default_rng(46)
+        t0, k = 28 * math.pi, 10
+        pool = np.concatenate(
+            (spiral_columns(np.full(4000, t0)), spiral_columns(t0 + rng.normal(0.0, 3.0, 30))),
+            axis=1,
+        )
+        n = pool.shape[1]
+        _novelty(pool, None, k, metric)  # a first call imports scipy.spatial
+        tracemalloc.start()
+        try:
+            scores = _novelty(pool, None, k, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n * (k + 2) * 8  # twenty float arrays of n x (k + 2)
+        assert not scores[:4000].any()
+        points = evolution._coordinates(pool, metric)
+        want = evolution._dense_novelty(points, np.arange(4000, n), k, metric)
+        assert np.array_equal(scores[4000:].view(np.int64), want.view(np.int64))
+
     def test_kept_tree_builds_over_a_bounded_run(self, monkeypatch):
         # Fig3g's settings: from generation 500 each generation evicts 6 of
         # 3,000 entries.  The tree survives the evictions, so it is built as
@@ -572,6 +674,37 @@ class TestScoringPaths:
              "base_seed": "0"}
         ))
         assert len(builds) == 105
+
+    def test_every_call_of_small_runs_equals_the_dense_routine(self):
+        # With a crossover of 16 candidates and a rebuild bound of 3, tiny
+        # runs take every path: dense, the kept tree across appends, retakes
+        # and evictions, and one tree over a large pool.
+        real = {name: getattr(evolution, name) for name in ("_novelty", "_kept_tree", "_kd_tree")}
+        log, sources = [], Counter()
+
+        def novelty(pool, archive, k, metric):
+            start = len(log)
+            got = real["_novelty"](pool, archive, k, metric)
+            built = log[start:]  # the tree builders this call ran
+            sources["kept_tree" if "_kept_tree" in built else "one_tree" if built else "dense"] += 1
+            want = dense_scores(pool, archive, k, metric)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            return got
+
+        def spy(name):
+            return lambda *a: log.append(name) or real[name](*a)
+
+        @settings(max_examples=60, derandomize=True, deadline=None)
+        @given(items=small_runs())
+        def check(items):
+            run_single(config_from_items(items))
+
+        with mock.patch.multiple(
+            evolution, TREE_CROSSOVER=16, _REBUILD_AT=3, _novelty=novelty,
+            _kept_tree=spy("_kept_tree"), _kd_tree=spy("_kd_tree"),
+        ):
+            check()
+        assert sources["dense"] and sources["kept_tree"] and sources["one_tree"], sources
 
 
 class TestStepGeneration:
