@@ -220,12 +220,12 @@ def fit_damped_oscillator(H: Sequence[float]) -> OscillatorFit:
     return OscillatorFit(float(a), float(lam), float(omega), float(phi), float(c), rmse)
 
 
-def _moving_median(H: Sequence[float], window: int) -> list:
+def _moving_median(H: Sequence[float], window: int) -> np.ndarray:
     # Windows shrink at the ends of H: the NaN padding counts for nothing.
     # The extra pad on the right keeps one window even for an empty H.
     half = window // 2
     padded = np.pad(np.asarray(H, float), (half, half + 1), constant_values=np.nan)
-    return medians(np.lib.stride_tricks.sliding_window_view(padded, window))[: len(H)].tolist()
+    return medians(np.lib.stride_tricks.sliding_window_view(padded, window))[: len(H)]
 
 
 def segment_phases(H: Sequence[float], window: int = 11) -> list:
@@ -236,26 +236,13 @@ def segment_phases(H: Sequence[float], window: int = 11) -> list:
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be a positive odd integer, got {window}")
     smoothed = _moving_median(H, window)
-    phases = []
-    current: PhaseKind = None
-    start = 0
-    for i, v in enumerate(smoothed):
-        kind = (
-            PhaseKind.EXPANSION
-            if v > 0
-            else PhaseKind.RETRACTION
-            if v < 0
-            else None
-        )
-        if kind is None or kind is current:
-            continue
-        if current is not None:
-            phases.append(Phase(start, i - 1, current))
-            start = i
-        current = kind
-    if current is not None:
-        phases.append(Phase(start, len(smoothed) - 1, current))
-    return phases
+    up = smoothed > 0
+    signed = np.flatnonzero(up | (smoothed < 0))  # zeros have no sign
+    # The first index of each run of one sign among the signed values.
+    starts = signed[np.diff(up[signed], prepend=~up[signed[:1]])].tolist()
+    ends = [i - 1 for i in starts[1:]] + [len(smoothed) - 1]
+    kinds = (PhaseKind.EXPANSION if up[i] else PhaseKind.RETRACTION for i in starts)
+    return list(map(Phase, [0, *starts[1:]], ends, kinds))
 
 
 def coverage_bins(ts, params: SpiralParams, bins: int) -> np.ndarray:

@@ -266,16 +266,20 @@ def _kd_tree(points: np.ndarray):
 
 
 def _kept_tree(archive, metric: Metric):
-    """The archive's k-d tree, kept across generations.
+    """The archive's k-d tree, kept across generations, with the candidate
+    column of each tree point (archive.tree_columns) and the archive columns
+    no live tree point holds.
 
-    It is built again, over every column, when more than _REBUILD_AT
-    columns are not held by a live tree point (see archive.tree_columns).
+    The tree is built again, over every column, when more than _REBUILD_AT
+    columns are loose.
     """
-    loose = len(archive) - np.count_nonzero(archive.tree_columns >= 0)
-    if archive.index is None or archive.index[0] is not metric or loose > _REBUILD_AT:
+    held = np.zeros(len(archive) + 1, dtype=bool)
+    held[archive.tree_columns] = True  # a dead point's -1 lands on the spare last entry
+    loose = np.flatnonzero(~held[:-1])
+    if archive.index is None or archive.index[0] is not metric or len(loose) > _REBUILD_AT:
         archive.index = (metric, _kd_tree(_coordinates(archive.columns(), metric)))
-        archive.tree_columns = np.arange(len(archive))
-    return archive.index[1]
+        archive.tree_columns, loose = np.arange(len(archive)), loose[:0]
+    return archive.index[1], archive.tree_columns, loose
 
 
 def _novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
@@ -307,11 +311,9 @@ def _novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
         points = np.concatenate((coords, subjects), axis=1)
         tree, columns, dense, others = _kd_tree(points), np.arange(n), rows[:0], subjects[:, :0]
     else:
-        points, tree, columns = coords, _kept_tree(archive, metric), archive.tree_columns
-        loose = np.ones(n - n_pool + 1, dtype=bool)
-        loose[columns] = False  # a dead point's -1 lands on the spare last entry
-        dense = np.concatenate((np.flatnonzero(loose[:-1]), rows))
-        others = np.concatenate((coords.take(dense[:-n_pool], axis=1), subjects), axis=1)
+        points, (tree, columns, loose) = coords, _kept_tree(archive, metric)
+        dense = np.concatenate((loose, rows))
+        others = np.concatenate((coords.take(loose, axis=1), subjects), axis=1)
     k_query = min(k_eff + 2, tree.n)
     dist, found = tree.query(subjects.T, k=k_query)
     found = columns[found.reshape(n_pool, k_query)]

@@ -131,45 +131,36 @@ def invert_arc_lengths(s: np.ndarray, params: SpiralParams) -> tuple:
     Safeguarded Newton iteration on f(t) = S(0, t) - s with the analytic
     derivative ds/dt = a*sqrt(t^2+1), falling back to bisection whenever a
     Newton step leaves the current bracket.  An element is accepted when its
-    arc-length residual drops below INVERSION_TOL and then leaves the active
-    set.  Every element takes the iterates of the scalar reference
-    invert_arc_length in tests/oracles.py, in the same floating point
-    operations, so both arrays equal it bit for bit.
+    arc-length residual drops below INVERSION_TOL and then keeps its iterate
+    until every element is accepted.  Every element takes the iterates of
+    the scalar reference invert_arc_length in tests/oracles.py, in the same
+    floating point operations, so both arrays equal it bit for bit.
     """
     s = np.asarray(s, dtype=float)
     _check_range(s, params.s_max, "arc length")
     a, n = params.a, len(s)
-    t, arc = np.empty(n), np.empty(n)
-    # Indices, targets, iterates and Newton brackets of the active elements.
-    # Adding 0.0 turns the start -0.0 into 0.0, where s = 0 converges at once.
-    active, target = np.arange(n), s
+    # Iterates and Newton brackets.  Adding 0.0 turns the start -0.0 into
+    # 0.0, where s = 0 converges at once.
     ta = np.minimum(np.sqrt(2.0 * s / a), params.t_max) + 0.0
     lo, hi = np.zeros(n), np.full(n, params.t_max)
     for _ in range(MAX_INVERSION_STEPS):
         roots = np.sqrt(ta * ta + 1.0)
         sa = _exact_arc_lengths(ta, a, roots)
-        f = sa - target
-        done = np.abs(f) <= INVERSION_TOL
-        n_done = np.count_nonzero(done)
-        if n_done == len(active):
-            t[active], arc[active] = ta, sa
-            return t, arc
-        if n_done:
-            t[active[done]], arc[active[done]] = ta[done], sa[done]
-            going = ~done
-            active, target, ta, lo, hi, f, roots = (
-                v[going] for v in (active, target, ta, lo, hi, f, roots)
-            )
+        f = sa - s
+        going = np.abs(f) > INVERSION_TOL
+        n_going = np.count_nonzero(going)
+        if not n_going:
+            return ta, sa
         above = f > 0.0
         hi = np.where(above, ta, hi)
         lo = np.where(above, lo, ta)
         t_new = ta - f / (a * roots)
         inside = (lo < t_new) & (t_new < hi)
-        if np.count_nonzero(inside) < len(ta):
+        if np.count_nonzero(inside) < n:
             t_new = np.where(inside, t_new, 0.5 * (lo + hi))
-        ta = t_new
+        ta = t_new if n_going == n else np.where(going, t_new, ta)
     raise RuntimeError(
-        f"arc-length inversion did not converge for s={target[0]} "
+        f"arc-length inversion did not converge for s={s[going.argmax()]} "
         f"within {MAX_INVERSION_STEPS} steps"
     )
 

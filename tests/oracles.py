@@ -19,6 +19,10 @@ grid's normal equations built afresh on every call and `least_squares` with
 its own `jac="2-point"` differences.  The package's fit, with its tables
 built once per history length and its one-pass Jacobian, must return the
 same six numbers bit for bit.
+
+`segment_phases` is the reference for the phase count: a state machine that
+walks the smoothed series one generation at a time.  The package's sign-run
+search must return the same phases.
 """
 
 import csv
@@ -26,7 +30,7 @@ import math
 
 import numpy as np
 
-from spiralns.analysis import MIN_FIT_SAMPLES, OscillatorFit
+from spiralns.analysis import MIN_FIT_SAMPLES, OscillatorFit, Phase, PhaseKind, _moving_median
 from spiralns.spiral import (
     INVERSION_TOL,
     MAX_INVERSION_STEPS,
@@ -307,3 +311,26 @@ def fit_damped_oscillator(H) -> OscillatorFit:
     a, lam, omega, phi, c = best.x
     rmse = math.sqrt(float(np.mean(resid(best.x) ** 2)))
     return OscillatorFit(float(a), float(lam), float(omega), float(phi), float(c), rmse)
+
+
+def segment_phases(H, window: int = 11) -> list:
+    """Phases of the smoothed series, found generation by generation: a
+    nonzero value of the other sign than the open phase closes it and opens
+    the next; zeros and NaN extend the open phase."""
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be a positive odd integer, got {window}")
+    smoothed = _moving_median(H, window).tolist()
+    phases = []
+    current = None
+    start = 0
+    for i, v in enumerate(smoothed):
+        kind = PhaseKind.EXPANSION if v > 0 else PhaseKind.RETRACTION if v < 0 else None
+        if kind is None or kind is current:
+            continue
+        if current is not None:
+            phases.append(Phase(start, i - 1, current))
+            start = i
+        current = kind
+    if current is not None:
+        phases.append(Phase(start, len(smoothed) - 1, current))
+    return phases

@@ -322,6 +322,22 @@ class TestSegmentPhases:
     def test_all_zero_series_has_no_phases(self):
         assert segment_phases([0.0] * 15, window=1) == []
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.builds(lambda seed, n: np.random.default_rng(seed).normal(size=n).tolist(),
+                      st.integers(0, 2**32 - 1), st.integers(1, 12))
+            | st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=12)
+            | st.builds(lambda v, n: [v] * n, st.sampled_from([1.0, -1.0, math.nan]),
+                        st.integers(1, 12)),
+            max_size=10,
+        ).map(lambda chunks: [v for chunk in chunks for v in chunk][:60]),
+        st.sampled_from([1, 3, 5, 11]),
+    )
+    def test_sign_runs_equal_the_state_machine(self, H, window):
+        # Normals, signed-zero runs, +-1 plateaus and NaN runs, 0 to 60 values.
+        assert segment_phases(H, window) == oracles.segment_phases(H, window)
+
 
 class TestCoverage:
     def test_single_behavior_covers_one_bin(self):

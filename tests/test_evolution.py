@@ -530,6 +530,11 @@ class TestArchiveIndex:
         columns = np.arange(-1, TREE_CROSSOVER - 1)
         columns[[0, 3]] = -1
         assert archive.index is index and np.array_equal(archive.tree_columns, columns)
+        # Column 2, the retaken column 3 shifted by the delete, is the one
+        # no live point holds.
+        tree, tree_columns, loose = evolution._kept_tree(archive, Metric.EUCLIDEAN)
+        assert tree is index[1] and tree_columns is archive.tree_columns
+        assert loose.tolist() == [2]
         assert_bit_equal(pool, archive, 10, Metric.EUCLIDEAN)
         assert archive.index is index
 

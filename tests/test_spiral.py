@@ -22,6 +22,7 @@ from spiralns import (
     genotype_bounds,
     map_genotypes,
 )
+from spiralns import spiral
 from spiralns.evolution import Metric, _distance
 from spiralns.spiral import BehaviorPoint, Genotype, invert_arc_lengths
 
@@ -279,6 +280,12 @@ class TestVectorisedMapping:
     def test_empty_input(self):
         for space in GenotypeSpace:
             assert all(a.size == 0 for a in map_genotypes(np.array([]), space, PARAMS))
+
+    def test_no_convergence_names_the_first_element_not_accepted(self, monkeypatch):
+        # One step accepts s = 0 alone; 5.0 is the first element still going.
+        monkeypatch.setattr(spiral, "MAX_INVERSION_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"for s=5\.0 within 1 steps"):
+            invert_arc_lengths(np.array([0.0, 5.0, 7.0]), PARAMS)
 
 
 # init_t0 = 0 lies on every spiral, so only the scale decides.
