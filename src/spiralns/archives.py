@@ -145,6 +145,7 @@ class _Archive(_Store):
         # column it stands for: -1 once that column was overwritten or deleted.
         self.index = None
         self.tree_columns = np.empty(0, np.intp)
+        self.rows = None  # last kept-tree query (tree, dist, found), a row per population column
 
     def columns(self) -> np.ndarray:
         """Read-only (N_ROWS, len) view of the entries, one per column."""
@@ -277,7 +278,10 @@ def sample_parents(
         etas = entries[ETA]
         total = etas.sum() if strategy.mode is SamplingMode.MIXED_GUIDED else 0.0
         if total > 0.0:
-            picks = rng.choice(n_entries, size=n_archive, p=etas / total)
+            # Generator.choice's own steps, without its checks of p on every call.
+            cdf = (etas / total).cumsum()
+            cdf /= cdf[-1]
+            picks = cdf.searchsorted(rng.random(n_archive), side="right")
         else:
             picks = rng.integers(n_entries, size=n_archive)
     parents = population[:, rng.integers(population.shape[1], size=n - n_archive)]

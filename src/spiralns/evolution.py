@@ -246,10 +246,12 @@ def _mean_ascending(nearest: np.ndarray) -> np.ndarray:
 
 
 def _dense_novelty(
-    points: np.ndarray, rows: np.ndarray, k_eff: int, metric: Metric
+    points: np.ndarray, rows: np.ndarray, k_eff: int, metric: Metric, subjects=None
 ) -> np.ndarray:
-    """Score the given columns of points against every column but their own."""
-    dist = _distance(points[:, rows, None], points[:, None, :], metric)
+    """Score the given columns of points (held in subjects, if given) against
+    every column but their own."""
+    subjects = points[:, rows] if subjects is None else subjects
+    dist = _distance(subjects[:, :, None], points[:, None, :], metric)
     dist[np.arange(len(rows)), rows] = np.inf
     nearest = np.partition(dist, k_eff - 1, axis=1)[:, :k_eff]
     nearest.sort(axis=1)
@@ -282,7 +284,7 @@ def _kept_tree(archive, metric: Metric):
     return archive.index[1], archive.tree_columns, loose
 
 
-def _novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
+def _novelty(pool: np.ndarray, archive, k: int, metric: Metric, carried=None) -> np.ndarray:
     """Score each pool column against the rest of pool + archive (None for none).
 
     The candidates are the archive's columns, then the pool's, so pool
@@ -291,12 +293,17 @@ def _novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
     against a dense block of candidates plus its k + 2 nearest points of a
     k-d tree, whose point j stands for candidate columns[j] (-1 for none).
     A pool of at most TREE_CROSSOVER queries the archive's kept tree, with
-    the pool and the archive columns no live tree point holds as the dense
-    block; a larger pool queries one tree over all the candidates.  A row is
-    trusted when its k-th distance lies clearly inside the tree's last
-    returned distance, so that no point the tree left out can change its
-    sum, or is 0, so that its score is 0 whatever was left out.  Other rows
-    take the dense routine, so every path gives bit-identical scores.
+    the archive columns no live tree point holds, then the pool, as the
+    dense block; a larger pool queries one tree over all the candidates.  A
+    row is trusted when its k-th distance lies clearly inside the tree's
+    last returned distance, so that no point the tree left out can change
+    its sum, or is 0, so that its score is 0 whatever was left out.  Other
+    rows take the dense routine, so every path gives bit-identical scores.
+
+    The kept tree's source records its query rows (tree, dist, found), one
+    per pool column, as archive.rows.  Such rows `carried` for pool columns
+    0..len - 1 stand in for their query when they came from this tree with
+    this k: an unchanged point on an unchanged tree gets the same rows.
     """
     subjects = _coordinates(pool, metric)
     coords = _coordinates(_NO_ENTRIES if archive is None else archive.columns(), metric)
@@ -305,31 +312,36 @@ def _novelty(pool: np.ndarray, archive, k: int, metric: Metric) -> np.ndarray:
     k_eff = min(k, n - 1)
     if k_eff < 1:
         return np.zeros(n_pool)
+    points = np.concatenate((coords, subjects), axis=1) if coords.shape[1] else subjects
     if n <= TREE_CROSSOVER:
-        return _dense_novelty(np.concatenate((coords, subjects), axis=1), rows, k_eff, metric)
+        return _dense_novelty(points, rows, k_eff, metric, subjects)
     if n_pool > TREE_CROSSOVER:
-        points = np.concatenate((coords, subjects), axis=1)
-        tree, columns, dense, others = _kd_tree(points), np.arange(n), rows[:0], subjects[:, :0]
+        tree, columns, loose = _kd_tree(points), np.arange(n), None
     else:
-        points, (tree, columns, loose) = coords, _kept_tree(archive, metric)
-        dense = np.concatenate((loose, rows))
-        others = np.concatenate((coords.take(loose, axis=1), subjects), axis=1)
+        tree, columns, loose = _kept_tree(archive, metric)
     k_query = min(k_eff + 2, tree.n)
-    dist, found = tree.query(subjects.T, k=k_query)
-    found = columns[found.reshape(n_pool, k_query)]
-    near = np.concatenate((_distance(subjects[:, :, None], others[:, None, :], metric),
-                           _distance(subjects[:, :, None], points.take(found, axis=1), metric)),
-                          axis=1)
-    idx = np.concatenate((dense[None].repeat(n_pool, axis=0), found), axis=1)
+    reuse = carried is not None and carried[0] is tree and carried[1].shape[1] == k_query
+    done = len(carried[1]) if reuse else 0
+    dist, found = tree.query(subjects[:, done:].T, k=k_query)
+    dist, found = dist.reshape(-1, k_query), found.reshape(-1, k_query)
+    if reuse:
+        dist, found = np.concatenate((carried[1], dist)), np.concatenate((carried[2], found))
+    idx = columns[found]
+    near = _distance(subjects[:, :, None], points.take(idx, axis=1), metric)
     near[(idx < 0) | (idx == rows[:, None])] = np.inf
+    if loose is not None:  # the kept tree's source: record its rows; dense block first
+        archive.rows = tree, dist, found
+        others = np.concatenate((coords.take(loose, axis=1), subjects), axis=1)
+        block = _distance(subjects[:, :, None], others[:, None, :], metric)
+        block.reshape(-1)[len(loose) :: block.shape[1] + 1] = np.inf  # each subject's own column
+        near = np.concatenate((block, near), axis=1)
     nearest = np.partition(near, k_eff - 1, axis=1)[:, :k_eff]
     nearest.sort(axis=1)
     scores = _mean_ascending(nearest)
-    last = dist.reshape(n_pool, k_query)[:, -1] if k_query < tree.n else np.inf
+    last = dist[:, -1] if k_query < tree.n else np.inf
     kth = nearest[:, -1]
     untrusted = np.flatnonzero(~((kth < last * (1.0 - _TIE_MARGIN)) | (kth == 0.0)))
     if untrusted.size:
-        points = np.concatenate((coords, subjects), axis=1)
         scores[untrusted] = _dense_novelty(points, rows[untrusted], k_eff, metric)
     return scores
 
@@ -362,7 +374,8 @@ def step_generation(
     state.next_id += kids.shape[1]
 
     pool = np.concatenate((population, kids), axis=1)
-    pool[NOVELTY] = _novelty(pool, archive, config.k, config.metric)
+    carried = None if archive is None else archive.rows  # the population's, if any were kept
+    pool[NOVELTY] = _novelty(pool, archive, config.k, config.metric, carried)
 
     # Elitist truncation; ties go to the newer individual, then the lower id.
     survivors = np.lexsort((pool[ID], -pool[BIRTH_GEN], -pool[NOVELTY]))[: config.pop_size]
@@ -398,5 +411,8 @@ def step_generation(
         archive.set_etas(picks[extra], parents[ID, extra], etas[m:])
 
     state.columns = pool[:, survivors]
+    if archive is not None:  # this generation's kept-tree rows, if any, for the survivors
+        new = archive.rows
+        archive.rows = None if new is carried else (new[0], new[1][survivors], new[2][survivors])
     state.generation = g_next
     return state

@@ -22,10 +22,10 @@ from spiralns import (
     step_generation,
     update_discovery_scores,
 )
-from spiralns.archives import ID, NOVELTY, X, Y, Individual
+from spiralns.archives import ETA, ID, N_ROWS, NOVELTY, X, Y, Individual
 from spiralns.spiral import BehaviorPoint, Genotype
 
-from helpers import coords, to_columns, unstructured_archive
+from helpers import column_archive, coords, to_columns, unstructured_archive
 from oracles import arc_length_from_origin, cell_index, spiral_point
 
 PARAMS = SpiralParams()
@@ -426,6 +426,25 @@ class TestSampleParents:
         counts = [int(np.sum(draws[ID] == 100 + i)) for i in range(8)]
         _, p_value = stats.chisquare(counts)
         assert p_value > 0.01
+
+    def test_guided_draws_equal_generator_choice(self):
+        # Eta-weighted draws take Generator.choice's steps: the same picks,
+        # and the generator left where choice leaves it.
+        pop = to_columns([ind(1.0 + i, i) for i in range(3)])
+        strat = SamplingStrategy(SamplingMode.MIXED_GUIDED, archive_fraction=1.0)
+        for seed in range(2000):
+            draw = np.random.default_rng([seed, 1])
+            n_entries, n = int(draw.integers(1, 3001)), int(draw.integers(1, 41))
+            etas = draw.random(n_entries) * (draw.random(n_entries) < draw.random())  # some 0
+            etas[draw.integers(n_entries)] = draw.random() + 1e-3  # a positive total
+            entries = np.zeros((N_ROWS, n_entries))
+            entries[ETA], entries[ID] = etas, 100 + np.arange(n_entries)
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            _, picks = sample_parents(strat, pop, column_archive(entries), n, rng)
+            want = ref.choice(n_entries, size=n, p=etas / etas.sum())
+            ref.integers(pop.shape[1], size=0)  # sample_parents' population draw
+            assert np.array_equal(picks, want), seed
+            assert rng.random() == ref.random(), seed
 
     def test_grid_archive_occupants_are_sampled(self):
         rng = np.random.default_rng(17)

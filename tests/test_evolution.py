@@ -371,6 +371,18 @@ def dense_scores(pool, archive, k, metric):
     return evolution._dense_novelty(points, np.arange(pool.shape[1]), k_eff, metric)
 
 
+class QueryLog:
+    """A k-d tree that appends (itself, rows queried) to the last list of
+    `calls` on each query."""
+
+    def __init__(self, tree, calls):
+        self.tree, self.n, self.calls = tree, tree.n, calls
+
+    def query(self, x, k):
+        self.calls[-1].append((self, len(x)))
+        return self.tree.query(x, k=k)
+
+
 def assert_bit_equal(pool, archive, k, metric):
     got = _novelty(pool, archive, k, metric)
     want = dense_scores(pool, archive, k, metric)
@@ -680,24 +692,56 @@ class TestScoringPaths:
         ))
         assert len(builds) == 105
 
+    def test_kept_tree_queries_only_the_offspring_after_a_kept_tree_generation(
+        self, monkeypatch
+    ):
+        # Fig3a's settings: the survivors carry last generation's query rows
+        # as long as the tree is the same object; a rebuilt tree is queried
+        # for the whole pool.
+        items = {"scenario": "Custom", "archive.kind": "unstructured_unbounded",
+                 "evolution.g_max": "150", "runs": "1", "base_seed": "5"}
+        config = config_from_items(items).evolution
+        calls = []  # per _novelty call, the (tree, rows) of each query it made
+        build, novelty = evolution._kd_tree, evolution._novelty
+        monkeypatch.setattr(evolution, "_kd_tree", lambda p: QueryLog(build(p), calls))
+        monkeypatch.setattr(evolution, "_novelty", lambda *a: calls.append([]) or novelty(*a))
+        run_single(config_from_items(items))
+        pool = config.pop_size + config.offspring_size
+        seen, previous = Counter(), []
+        for queries in calls:
+            assert len(queries) <= 1
+            if queries:
+                follows = bool(previous) and previous[0][0] is queries[0][0]
+                assert queries[0][1] == (config.offspring_size if follows else pool)
+                seen[follows] += 1
+            previous = queries
+        assert seen[True] and seen[False], seen
+
     def test_every_call_of_small_runs_equals_the_dense_routine(self):
         # With a crossover of 16 candidates and a rebuild bound of 3, tiny
         # runs take every path: dense, the kept tree across appends, retakes
-        # and evictions, and one tree over a large pool.
+        # and evictions, with and without carried rows, and one tree over a
+        # large pool.
         real = {name: getattr(evolution, name) for name in ("_novelty", "_kept_tree", "_kd_tree")}
-        log, sources = [], Counter()
+        log, queries, sources = [], [], Counter()
 
-        def novelty(pool, archive, k, metric):
-            start = len(log)
-            got = real["_novelty"](pool, archive, k, metric)
+        def novelty(pool, archive, k, metric, carried=None):
+            start, asked = len(log), len(queries)
+            got = real["_novelty"](pool, archive, k, metric, carried)
             built = log[start:]  # the tree builders this call ran
             sources["kept_tree" if "_kept_tree" in built else "one_tree" if built else "dense"] += 1
+            assert len(queries) - asked <= 1
+            sources["carried"] += len(queries) > asked and queries[-1][1] < pool.shape[1]
             want = dense_scores(pool, archive, k, metric)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             return got
 
         def spy(name):
             return lambda *a: log.append(name) or real[name](*a)
+
+        def kd_tree(points):
+            log.append("_kd_tree")
+            return QueryLog(real["_kd_tree"](points), [queries])
 
         @settings(max_examples=60, derandomize=True, deadline=None)
         @given(items=small_runs())
@@ -706,10 +750,10 @@ class TestScoringPaths:
 
         with mock.patch.multiple(
             evolution, TREE_CROSSOVER=16, _REBUILD_AT=3, _novelty=novelty,
-            _kept_tree=spy("_kept_tree"), _kd_tree=spy("_kd_tree"),
+            _kept_tree=spy("_kept_tree"), _kd_tree=kd_tree,
         ):
             check()
-        assert sources["dense"] and sources["kept_tree"] and sources["one_tree"], sources
+        assert all(sources[s] for s in ("dense", "kept_tree", "carried", "one_tree")), sources
 
 
 class TestStepGeneration:
