@@ -77,6 +77,9 @@ LOWER.flags.writeable = UPPER.flags.writeable = False
 # The relative forward-difference step least_squares takes for jac="2-point".
 _REL_STEP = np.finfo(float).eps ** 0.5
 
+# Row-against-row sums in numpy's own loop: BLAS would round them by thread count.
+_sums = functools.partial(np.einsum, "lg,wg->lw", optimize=False)
+
 
 @functools.lru_cache(maxsize=2)
 def _grid_tables(n: int):
@@ -99,11 +102,11 @@ def _grid_tables(n: int):
 
     E2 = E * E
     mats = np.empty((len(lams), len(omegas), 3, 3))
-    mats[..., 0, 0] = E2 @ (C * C).T
-    mats[..., 0, 1] = mats[..., 1, 0] = E2 @ (C * S).T
-    mats[..., 0, 2] = mats[..., 2, 0] = E @ C.T
-    mats[..., 1, 1] = E2 @ (S * S).T
-    mats[..., 1, 2] = mats[..., 2, 1] = E @ S.T
+    mats[..., 0, 0] = _sums(E2, C * C)
+    mats[..., 0, 1] = mats[..., 1, 0] = _sums(E2, C * S)
+    mats[..., 0, 2] = mats[..., 2, 0] = _sums(E, C)
+    mats[..., 1, 1] = _sums(E2, S * S)
+    mats[..., 1, 2] = mats[..., 2, 1] = _sums(E, S)
     mats[..., 2, 2] = float(n)
     mats += 1e-12 * np.eye(3)
     tables = lams, omegas, E, C, S, mats
@@ -112,19 +115,19 @@ def _grid_tables(n: int):
     return tables
 
 
-def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
+def _grid_seed_candidates(y: np.ndarray):
     """Coarse (decay, frequency) grid with a linear solve at each point.
 
     The model is linear in (P, Q, c) once decay and frequency are fixed:
-    exp(-decay*g) * (P*cos + Q*sin) + c.  Normal equations for every grid
-    point are batched as matrix products, and the lowest-error points seed
-    the non-linear refinement.  Only their right-hand sides depend on y.
+    exp(-decay*g) * (P*cos + Q*sin) + c.  Only the batched normal equations'
+    right-hand sides depend on y.  The two lowest local minima of the grid's
+    error, ranked by error then flat index, seed the non-linear refinement.
     """
     lams, omegas, E, C, S, mats = _grid_tables(len(y))
-    uy = (E * y) @ C.T
-    vy = (E * y) @ S.T
+    Ey = E * y
+    uy, vy = _sums(Ey, C), _sums(Ey, S)
     wy = float(y.sum())
-    yy = float(y @ y)
+    yy = float(np.square(y).sum())
 
     rhs = np.stack(
         [uy, vy, np.full_like(uy, wy)], axis=-1
@@ -134,9 +137,11 @@ def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
         "...i,...ij,...j->...", beta, mats, beta
     )
 
-    order = np.argsort(sse, axis=None)[:n_best]
+    padded = np.pad(sse, 1, constant_values=np.inf)
+    lowest = np.lib.stride_tricks.sliding_window_view(padded, (3, 3)).min(axis=(2, 3))
+    minima = np.flatnonzero(lowest >= sse)  # no strictly lower neighbour
     seeds = []
-    for flat in order:
+    for flat in minima[np.argsort(sse.flat[minima], kind="stable")][:2]:
         i, j = divmod(int(flat), len(omegas))
         p, q, c = beta[i, j]
         amplitude = math.hypot(p, q)
@@ -188,7 +193,7 @@ def fit_damped_oscillator(H: Sequence[float]) -> OscillatorFit:
         i = int(bad.argmax())
         raise ValueError(f"H[{i}] is {y[i].item()!r}; the fit needs finite values")
     with np.errstate(over="ignore"):
-        if not math.isfinite(float(y @ y)):
+        if not math.isfinite(float(np.square(y).sum())):
             raise ValueError("the sum of squares overflows; the fit needs it finite")
     e = math.frexp(float(np.abs(y).max()))[1]
     if abs(e) > 64:

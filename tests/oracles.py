@@ -15,10 +15,13 @@ f-string per point.  The package's block writer and template renderer must
 write the same bytes.
 
 `fit_damped_oscillator` is the reference for the oscillator fit: the seed
-grid's normal equations built afresh on every call and `least_squares` with
-its own `jac="2-point"` differences.  The package's fit, with its tables
-built once per history length and its one-pass Jacobian, must return the
-same six numbers bit for bit.
+grid's normal equations built afresh on every call, its local minima found
+by a loop over each point's eight neighbours, and `least_squares` with its
+own `jac="2-point"` differences.  The package's fit, with its tables built
+once per history length, its minima found by whole-array comparisons and
+its one-pass Jacobian, must return the same six numbers bit for bit.
+`five_seed_fit` keeps the earlier fit, refined from the five lowest grid
+points with BLAS sums, as the record of the numbers it gave.
 
 `segment_phases` is the reference for the phase count: a state machine that
 walks the smoothed series one generation at a time.  The package's sign-run
@@ -235,7 +238,11 @@ def render_svg(ts, params: SpiralParams, init_t0: float, header_items=()) -> str
     return "\n".join(parts) + "\n"
 
 
-def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
+def _grid_solution(y: np.ndarray, products, yy: float):
+    """The seed grid's decay and frequency values, the (L, W, 3) linear
+    solutions and the (L, W) squared errors, every table built afresh;
+    products(a, b) gives every row of a against every row of b, and yy is
+    the sum of squares of y."""
     n = len(y)
     g = np.arange(n, dtype=float)
     lams = np.concatenate([[0.0], np.geomspace(0.1 / n, 20.0 / n, 24)])
@@ -246,15 +253,14 @@ def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
     S = np.sin(np.outer(omegas, g))
 
     E2 = E * E
-    uu = E2 @ (C * C).T  # (L, W) entries of the normal matrix
-    uv = E2 @ (C * S).T
-    vv = E2 @ (S * S).T
-    uw = E @ C.T
-    vw = E @ S.T
-    uy = (E * y) @ C.T
-    vy = (E * y) @ S.T
+    uu = products(E2, C * C)  # (L, W) entries of the normal matrix
+    uv = products(E2, C * S)
+    vv = products(E2, S * S)
+    uw = products(E, C)
+    vw = products(E, S)
+    uy = products(E * y, C)
+    vy = products(E * y, S)
     wy = float(y.sum())
-    yy = float(y @ y)
 
     L, W = uu.shape
     mats = np.empty((L, W, 3, 3))
@@ -272,21 +278,51 @@ def _grid_seed_candidates(y: np.ndarray, n_best: int = 5):
     sse = yy - 2.0 * (beta * rhs).sum(-1) + np.einsum(
         "...i,...ij,...j->...", beta, mats, beta
     )
-
-    order = np.argsort(sse, axis=None)[:n_best]
-    seeds = []
-    for flat in order:
-        i, j = divmod(int(flat), W)
-        p, q, c = beta[i, j]
-        amplitude = math.hypot(p, q)
-        phase = math.atan2(-q, p)
-        seeds.append((amplitude, lams[i], omegas[j], phase, c))
-    return seeds
+    return lams, omegas, beta, sse
 
 
-def fit_damped_oscillator(H) -> OscillatorFit:
-    """The damped-cosine fit with every grid product computed per call and
-    scipy's own forward-difference Jacobian."""
+def _seed(lams, omegas, beta, i: int, j: int) -> tuple:
+    p, q, c = beta[i, j]
+    return (math.hypot(p, q), lams[i], omegas[j], math.atan2(-q, p), c)
+
+
+def local_minima(sse) -> list:
+    """(row, col) of every point of a 2-D grid that no neighbour among the
+    eight around it undercuts, lowest value first, ties by flat index."""
+    rows = [list(row) for row in sse]
+    L, W = len(rows), len(rows[0])
+    found = []
+    for i in range(L):
+        for j in range(W):
+            neighbours = [
+                rows[i + di][j + dj]
+                for di in (-1, 0, 1)
+                for dj in (-1, 0, 1)
+                if (di or dj) and 0 <= i + di < L and 0 <= j + dj < W
+            ]
+            if not any(v < rows[i][j] for v in neighbours):
+                found.append((rows[i][j], i * W + j, i, j))
+    return [(i, j) for _, _, i, j in sorted(found)]
+
+
+def _basin_seeds(y: np.ndarray) -> list:
+    """The seeds of the package's fit: the two lowest local minima of the
+    grid's error, its sums taken in numpy's own einsum loop."""
+    lams, omegas, beta, sse = _grid_solution(
+        y, lambda a, b: np.einsum("lg,wg->lw", a, b, optimize=False), float(np.square(y).sum())
+    )
+    return [_seed(lams, omegas, beta, i, j) for i, j in local_minima(sse.tolist())[:2]]
+
+
+def _five_lowest_seeds(y: np.ndarray) -> list:
+    """The seeds of the earlier five-seed fit: the five lowest grid points,
+    its sums taken as BLAS matrix products."""
+    lams, omegas, beta, sse = _grid_solution(y, lambda a, b: a @ b.T, float(y @ y))
+    order = np.argsort(sse, axis=None)[:5]
+    return [_seed(lams, omegas, beta, *divmod(int(flat), len(omegas))) for flat in order]
+
+
+def _refined_fit(H, seeds) -> OscillatorFit:
     from scipy.optimize import least_squares
 
     y = np.asarray(H, dtype=float)
@@ -303,7 +339,7 @@ def fit_damped_oscillator(H) -> OscillatorFit:
     lower = [-np.inf, 0.0, 1e-9, -2.0 * math.pi, -np.inf]
     upper = [np.inf, np.inf, math.pi, 2.0 * math.pi, np.inf]
     best = None
-    for seed in _grid_seed_candidates(y):
+    for seed in seeds(y):
         x0 = np.clip(np.array(seed), lower, upper)
         sol = least_squares(resid, x0, bounds=(lower, upper))
         if best is None or sol.cost < best.cost:
@@ -311,6 +347,19 @@ def fit_damped_oscillator(H) -> OscillatorFit:
     a, lam, omega, phi, c = best.x
     rmse = math.sqrt(float(np.mean(resid(best.x) ** 2)))
     return OscillatorFit(float(a), float(lam), float(omega), float(phi), float(c), rmse)
+
+
+def fit_damped_oscillator(H) -> OscillatorFit:
+    """The damped-cosine fit with every grid product computed per call, the
+    local minima found point by point, and scipy's own forward-difference
+    Jacobian."""
+    return _refined_fit(H, _basin_seeds)
+
+
+def five_seed_fit(H) -> OscillatorFit:
+    """The earlier fit, refined from the five lowest grid points: the record
+    of the numbers the package gave before it seeded from distinct basins."""
+    return _refined_fit(H, _five_lowest_seeds)
 
 
 def segment_phases(H, window: int = 11) -> list:

@@ -1,6 +1,9 @@
 """Analysis functions: medians, oscillator fits, phases, coverage."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +168,32 @@ def assert_fits_match_the_oracle(histories):
         assert fit_fields(fit_damped_oscillator(H)) == fit_fields(oracles.fit_damped_oscillator(H)), name
 
 
+@pytest.fixture(scope="module")
+def run_histories():
+    """H of the benchmark's six batch settings at 12 seeds each, and of
+    full-length Fig2a and Fig3a runs at seeds 0 to 2.  Taken in turn, the
+    settings interleave four lengths: 250, 300, 500 and 1000."""
+    settings = [
+        {"evolution.g_max": "250", "evolution.metric": metric,
+         "evolution.genotype_space": space, "archive.kind": "none"}
+        for metric in ("euclidean", "geodesic") for space in ("angle", "arc_length")
+    ] + [
+        {"evolution.g_max": "300", "archive.kind": "unstructured_unbounded"},
+        {"evolution.g_max": "500", "archive.kind": "grid", "sampling.mode": "mixed_guided"},
+    ]
+    runs = [{"scenario": "Custom", **items, "base_seed": str(seed)}
+            for seed in range(12) for items in settings]
+    runs += [{"scenario": scenario, "base_seed": str(seed)}
+             for seed in range(3) for scenario in ("Fig2a", "Fig3a")]
+    histories = [
+        (str(items), run_single(config_from_items({**items, "runs": "1"}))
+         .telemetry["median_delta"])
+        for items in runs
+    ]
+    assert len(histories) == 78
+    return histories
+
+
 class TestFitMatchesTheOracle:
     """The fit with cached seed-grid tables and a one-pass Jacobian returns the
     reference fit's six numbers bit for bit (compared through repr)."""
@@ -193,34 +222,103 @@ class TestFitMatchesTheOracle:
         assert _grid_tables.cache_info().misses - misses >= 30
 
     @pytest.mark.slow
-    def test_run_histories(self):
-        # H of the benchmark's six batch settings at 12 seeds each, and of
-        # full-length Fig2a and Fig3a runs at seeds 0 to 2.  Taken in turn,
-        # the settings interleave four lengths: 250, 300, 500 and 1000.
-        settings = [
-            {"evolution.g_max": "250", "evolution.metric": metric,
-             "evolution.genotype_space": space, "archive.kind": "none"}
-            for metric in ("euclidean", "geodesic") for space in ("angle", "arc_length")
-        ] + [
-            {"evolution.g_max": "300", "archive.kind": "unstructured_unbounded"},
-            {"evolution.g_max": "500", "archive.kind": "grid", "sampling.mode": "mixed_guided"},
-        ]
-        runs = [{"scenario": "Custom", **items, "base_seed": str(seed)}
-                for seed in range(12) for items in settings]
-        runs += [{"scenario": scenario, "base_seed": str(seed)}
-                 for seed in range(3) for scenario in ("Fig2a", "Fig3a")]
-        histories = [
-            (str(items), run_single(config_from_items({**items, "runs": "1"}))
-             .telemetry["median_delta"])
-            for items in runs
-        ]
-        assert len(histories) == 78
-        assert_fits_match_the_oracle(histories)
+    def test_run_histories(self, run_histories):
+        assert_fits_match_the_oracle(run_histories)
 
     def test_cached_tables_are_read_only(self):
         for table in [*_grid_tables(64), analysis.LOWER, analysis.UPPER]:
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0.0
+
+
+class TestFitAgainstTheFiveSeedRecord:
+    """Seeding from the grid's two lowest local minima, in place of its five
+    lowest points, loses no accuracy that matters on run histories."""
+
+    @pytest.mark.slow
+    def test_no_rmse_is_worse_than_the_record_by_1e_6_relative(self, run_histories):
+        for name, H in run_histories:
+            record = oracles.five_seed_fit(H).residual
+            assert fit_damped_oscillator(H).residual <= record * (1.0 + 1e-6), name
+
+
+def seeded_grid_points(monkeypatch, errors) -> list:
+    """The (row, col) grid points _grid_seed_candidates seeds from when its
+    error grid orders like `errors`, a hand-made grid of small integers.
+
+    Fake tables make every normal matrix the identity, the sine table zero
+    and uy**2 = 100 - errors, so the error of each point is its entry of
+    errors plus one constant.  The decay and frequency values are the row
+    and column numbers, which the seeds carry back.
+    """
+    errors = np.asarray(errors, dtype=float)
+    L, W = errors.shape
+    g = np.arange(L * W)
+    E = (g // W == np.arange(L)[:, None]).astype(float)
+    C = np.where(g % W == np.arange(W)[:, None], np.sqrt(100.0 - errors).ravel(), 0.0)
+    mats = np.broadcast_to(np.eye(3), (L, W, 3, 3))
+    tables = np.arange(L, dtype=float), np.arange(W, dtype=float), E, C, np.zeros_like(C), mats
+    monkeypatch.setattr(analysis, "_grid_tables", lambda n: tables)
+    return [(int(seed[1]), int(seed[2])) for seed in analysis._grid_seed_candidates(np.ones(L * W))]
+
+
+class TestSeedBasins:
+    """The seeds are the two lowest local minima of the grid's error, a point
+    being a local minimum when none of its eight neighbours is strictly
+    lower; ties go to the lower flat index.  The package's whole-array search
+    and the oracle's loop are checked on the same hand-made grids."""
+
+    @pytest.mark.parametrize(
+        "errors, want",
+        [
+            # A plateau of equal lowest values: every point of it is a
+            # minimum, and the first two by flat index win over (1, 3).
+            ([[5, 1, 1, 5],
+              [5, 5, 5, 1],
+              [9, 9, 9, 9]], [(0, 1), (0, 2)]),
+            # Minima on a corner and on an edge: off the grid counts as inf.
+            ([[0, 3, 4, 4],
+              [3, 4, 4, 4],
+              [4, 4, 1, 3]], [(0, 0), (2, 2)]),
+            # One bowl: one seed.
+            ([[8, 5, 4, 5, 8],
+              [5, 2, 1, 2, 5],
+              [8, 5, 4, 5, 8]], [(1, 2)]),
+        ],
+        ids=["plateau tie", "corner and edge", "single minimum"],
+    )
+    def test_hand_made_error_grids(self, monkeypatch, errors, want):
+        assert oracles.local_minima(errors)[:2] == want
+        assert seeded_grid_points(monkeypatch, errors) == want
+
+
+class TestThreadStability:
+    """The fit cells of a full-length history are the same under any BLAS or
+    OpenMP thread count: summary.csv must not depend on the host."""
+
+    def test_fit_cells_of_a_1000_generation_run_under_1_2_and_4_threads(self, tmp_path):
+        telemetry = run_single(
+            config_from_items({"scenario": "Fig2a", "base_seed": "2", "runs": "1"})
+        ).telemetry
+        assert len(telemetry) == 1000
+        path = tmp_path / "telemetry.npy"
+        np.save(path, telemetry)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
+        script = (
+            "import sys, numpy as np\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from spiralns.experiments import fit_cells\n"
+            f"print(','.join(fit_cells(np.load({str(path)!r}))))\n"
+        )
+        cells = {}
+        for threads in ("1", "2", "4"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            cells[threads] = done.stdout
+        assert cells["1"] == cells["2"] == cells["4"], cells
 
 
 def model_residuals(g, y):

@@ -15,10 +15,14 @@ archive whose occupants are retaken).  Their runs rebuild the archive's
 scoring index many times over, which the short batches barely reach.
 
 A mismatch means a change altered the program's output, which an
-optimisation must not do.  Re-pin only for a deliberate format change, and
-record it in CHANGES.md:
+optimisation must not do.  Re-pin only for a deliberate change of output,
+and record it in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The command rewrites golden_digests.json and prints to stderr one line for
+each (pin, file) whose digest it changed, added or dropped, with the first
+12 hex digits of the old and the new digest.
 """
 
 import hashlib
@@ -101,11 +105,8 @@ def derived_digest(name: str) -> dict:
         return {filename: hashlib.sha256(fh.read()).hexdigest()}
 
 
-# Full-length runs, pinned under "<scenario>_g1000".  Their summary.csv is
-# not pinned: at this length its fit cells depend on the BLAS thread count
-# (ROADMAP, direction 1).
+# Full-length runs, pinned under "<scenario>_g1000".
 FULL_LENGTH = ("Fig3a", "Fig3g", "Fig3l")
-UNPINNED_AT_FULL_LENGTH = ("summary.csv",)
 
 
 def full_length_digests(scenario: str) -> dict:
@@ -116,7 +117,7 @@ def full_length_digests(scenario: str) -> dict:
         )
     )
     digests = {}
-    for filename in sorted(set(os.listdir("out")) - set(UNPINNED_AT_FULL_LENGTH)):
+    for filename in sorted(os.listdir("out")):
         with open(os.path.join("out", filename), "rb") as fh:
             digests[filename] = hashlib.sha256(fh.read()).hexdigest()
     return digests
@@ -159,6 +160,29 @@ def test_every_config_is_pinned():
     assert sorted(_pinned()) == sorted([*CONFIGS, *DERIVED, *full])
 
 
+def changed_digests(old: dict, new: dict) -> list:
+    """One line per (pin, file) whose digest differs between two pin sets,
+    with the first 12 hex digits of each side ("-" where there is none)."""
+    lines = []
+    for name in sorted({*old, *new}):
+        before, after = old.get(name, {}), new.get(name, {})
+        for filename in sorted({*before, *after}):
+            a, b = before.get(filename, "-"), after.get(filename, "-")
+            if a != b:
+                lines.append(f"{name} {filename}: {a[:12]} -> {b[:12]}")
+    return lines
+
+
+def test_changed_digests_names_each_pin_and_file():
+    old = {"a": {"x.csv": "1" * 64, "y.csv": "2" * 64}, "b": {"z.svg": "3" * 64}}
+    new = {"a": {"x.csv": "1" * 64, "y.csv": "4" * 64}, "c": {"z.svg": "3" * 64}}
+    assert changed_digests(old, new) == [
+        f"a y.csv: {'2' * 12} -> {'4' * 12}",
+        f"b z.svg: {'3' * 12} -> -",
+        f"c z.svg: - -> {'3' * 12}",
+    ]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -167,7 +191,6 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             pinned[name] = artifact_digests(name)
-        print(name, file=sys.stderr)
     for name in DERIVED:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
@@ -176,6 +199,8 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             pinned[f"{scenario}_g1000"] = full_length_digests(scenario)
+    for line in changed_digests(_pinned(), pinned):
+        print(line, file=sys.stderr)
     with open(DIGESTS_PATH, "w") as fh:
         json.dump(pinned, fh, indent=1, sort_keys=True)
         fh.write("\n")
